@@ -27,6 +27,7 @@
 //! classes.
 
 use dim_mips::FuClass;
+use dim_obs::FabricUtil;
 
 use crate::config::Configuration;
 use crate::timing::ArrayTiming;
@@ -111,6 +112,27 @@ pub struct FabricSample {
     /// Write-back port-slots available: `rf_write_ports × (exec + tail)`
     /// cycles. `writes ≤ slots` always, so saturation stays in `[0, 1]`.
     pub writeback_slots: u64,
+}
+
+impl FabricSample {
+    /// The sample as the `fabric` trace record of the invocation of the
+    /// configuration at `entry_pc`.
+    pub fn to_util(&self, entry_pc: u32) -> FabricUtil {
+        FabricUtil {
+            entry_pc,
+            rows: self.rows,
+            exec_thirds: self.exec_thirds as u32,
+            capacity_thirds: self.capacity_thirds as u32,
+            alu_busy_thirds: self.busy_thirds[0] as u32,
+            mult_busy_thirds: self.busy_thirds[1] as u32,
+            ldst_busy_thirds: self.busy_thirds[2] as u32,
+            issued_ops: self.issued_ops,
+            squashed_ops: self.squashed_ops,
+            residual_cycles: self.residual_cycles as u32,
+            writeback_writes: self.writeback_writes,
+            writeback_slots: self.writeback_slots as u32,
+        }
+    }
 }
 
 /// Run-level fabric utilization accumulator, owned by the coupled

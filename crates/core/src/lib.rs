@@ -52,7 +52,7 @@ pub use dim_obs::fnv1a64;
 pub use dim_obs::frame;
 pub use gshare::{measure_hit_rate, GsharePredictor, SpeculationPredictor};
 pub use predictor::{BimodalPredictor, Counter};
-pub use rcache::{EvictedEntry, ReconfCache, ReplacementPolicy};
+pub use rcache::{EvictedEntry, ReconfCache, ReplacementPolicy, ReplayRecord, StopCost};
 pub use report::{fabric_heat_json, RunReport};
 pub use snapshot::{
     SnapshotContents, SnapshotError, SNAPSHOT_FRAME, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

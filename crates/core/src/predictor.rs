@@ -90,10 +90,10 @@ impl BimodalPredictor {
             .unwrap_or(Counter::WeakNotTaken)
     }
 
-    /// Records one executed outcome.
+    /// Records one executed outcome (one hash probe).
     pub fn update(&mut self, pc: u32, taken: bool) {
-        let c = self.counter(pc).update(taken);
-        self.counters.insert(pc, c);
+        let counter = self.counters.entry(pc).or_insert(Counter::WeakNotTaken);
+        *counter = counter.update(taken);
     }
 
     /// `Some(direction)` when the branch is saturated and safe to

@@ -1,9 +1,17 @@
 //! The reconfiguration cache: PC-indexed FIFO store of translated
 //! configurations (paper §3: "this configuration is saved in a special
 //! cache, and indexed by the program counter").
+//!
+//! Each committed configuration is stored once, as an `Arc`-shared
+//! [`ReplayRecord`]. A hit hands the replay loop a refcount: the hit's
+//! own partial insert may evict the entry being replayed, and the
+//! refcount keeps the record alive through that replay without a copy.
 
-use dim_cgra::Configuration;
+use dim_cgra::{ArrayTiming, Configuration, FabricHeat, InvocationCycles};
+use dim_mips::Instruction;
+use dim_obs::{ArrayInvoke, FabricUtil};
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, OnceLock};
 
 /// Replacement policy of the reconfiguration cache. The paper's cache is
 /// FIFO ("a new entry in the cache (based on FIFO) is created"); LRU is
@@ -15,6 +23,136 @@ pub enum ReplacementPolicy {
     Fifo,
     /// Evict the least-recently *executed* entry.
     Lru,
+}
+
+/// What an invocation of a configuration costs when replay stops after
+/// one of its segments.
+///
+/// Replay can stop only after a segment's last op (a misspeculated
+/// branch is always its segment's last op), so every quantity here is a
+/// function of the configuration, the timing and the stop segment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StopCost {
+    /// [`Configuration::invocation_cycles`] at the stop segment's depth.
+    pub spans: InvocationCycles,
+    /// The hit's `array_invoke` record as far as the stop segment fixes
+    /// it: its depth, the ops replayed (every segment's up to and
+    /// including the stop segment), the loads and stores among them, and
+    /// `spans`. A hit sets `exit_pc`, `misspeculated` and `flushed`, and
+    /// adds its residual cycles to `exec_cycles`.
+    pub invoke: ArrayInvoke,
+    /// The hit's `fabric` record: the sample [`FabricHeat::record`]
+    /// returns at the stop depth with no residual cycles. A hit sets
+    /// `residual_cycles`.
+    pub fabric: FabricUtil,
+    /// The fresh accumulator that same call filled: one invocation's
+    /// contribution, which a hit adds with [`FabricHeat::merge`].
+    pub heat: FabricHeat,
+}
+
+/// A committed configuration as the cache stores it: never mutated
+/// after insertion, shared by `Arc` between the cache and the replay in
+/// flight.
+///
+/// Its per-stop-segment costs are derived on the first hit
+/// ([`costs`](ReplayRecord::costs)), not at insertion: under cache
+/// pressure many entries are evicted without ever being hit, and a dead
+/// entry should cost no more than storing it.
+#[derive(Debug)]
+pub struct ReplayRecord {
+    config: Configuration,
+    /// The timing the costs were derived under, and one cost per stop
+    /// segment.
+    frozen: OnceLock<(ArrayTiming, Box<[StopCost]>)>,
+}
+
+impl ReplayRecord {
+    /// A record of `config` with no costs derived yet.
+    pub fn new(config: Configuration) -> ReplayRecord {
+        ReplayRecord {
+            config,
+            frozen: OnceLock::new(),
+        }
+    }
+
+    /// The stored configuration.
+    pub fn config(&self) -> &Configuration {
+        &self.config
+    }
+
+    /// One [`StopCost`] per segment, indexed like
+    /// [`Configuration::segments`] (a configuration without segments
+    /// gets one cost: nothing executed, depth 0). Derived under `timing`
+    /// on the first call; a record is only ever replayed under the
+    /// timing of the system that owns it.
+    pub fn costs(&self, timing: &ArrayTiming) -> &[StopCost] {
+        let (frozen_under, costs) = self
+            .frozen
+            .get_or_init(|| (*timing, stop_costs(&self.config, timing)));
+        debug_assert_eq!(
+            frozen_under, timing,
+            "record @ {:#x} replayed under another timing",
+            self.config.entry_pc
+        );
+        costs
+    }
+
+    /// The costs and the timing they were derived under, or `None`
+    /// before the first [`costs`](ReplayRecord::costs) call.
+    pub fn frozen(&self) -> Option<(&ArrayTiming, &[StopCost])> {
+        self.frozen
+            .get()
+            .map(|(timing, costs)| (timing, &costs[..]))
+    }
+}
+
+/// Derives every stop segment's cost with the same functions the run
+/// loop would otherwise call per hit.
+fn stop_costs(config: &Configuration, timing: &ArrayTiming) -> Box<[StopCost]> {
+    let stop = |spec_depth: u8, executed: u32, loads: u32, stores: u32| {
+        let spans = config.invocation_cycles(timing, spec_depth);
+        let mut heat = FabricHeat::new();
+        let sample = heat.record(config, timing, spec_depth, 0);
+        StopCost {
+            spans,
+            invoke: ArrayInvoke {
+                entry_pc: config.entry_pc,
+                exit_pc: 0,
+                covered: config.instruction_count() as u32,
+                executed,
+                loads,
+                stores,
+                rows: config.rows_used() as u32,
+                spec_depth,
+                misspeculated: false,
+                flushed: false,
+                stall_cycles: spans.stall as u32,
+                exec_cycles: spans.exec as u32,
+                tail_cycles: spans.tail as u32,
+            },
+            fabric: sample.to_util(config.entry_pc),
+            heat,
+        }
+    };
+    if config.segments().is_empty() {
+        return Box::new([stop(0, 0, 0, 0)]);
+    }
+    let (mut executed, mut loads, mut stores) = (0, 0, 0);
+    config
+        .segments()
+        .iter()
+        .map(|segment| {
+            for op in config.segment_ops(segment) {
+                executed += 1;
+                match op.inst {
+                    Instruction::Load { .. } => loads += 1,
+                    Instruction::Store { .. } => stores += 1,
+                    _ => {}
+                }
+            }
+            stop(segment.depth, executed, loads, stores)
+        })
+        .collect()
 }
 
 /// What a capacity eviction displaced: the victim's identity (entry PC
@@ -31,6 +169,31 @@ pub struct EvictedEntry {
     pub uses: u64,
 }
 
+/// One resident configuration with its per-entry state.
+#[derive(Debug, Clone)]
+struct Entry {
+    record: Arc<ReplayRecord>,
+    /// Lookup hits since (re-)insertion, for live-vs-dead eviction
+    /// accounting.
+    uses: u64,
+    /// `stream_ok(K)` tag: the region matched a streaming certificate
+    /// at commit time, with the certified burst. Purely a contract
+    /// surface for the streaming executor — replay behavior does not
+    /// consult it. A tag lives and dies with its entry (cleared on
+    /// flush, eviction and replacement).
+    stream_tag: Option<u32>,
+}
+
+impl Entry {
+    fn new(config: Configuration) -> Entry {
+        Entry {
+            record: Arc::new(ReplayRecord::new(config)),
+            uses: 0,
+            stream_tag: None,
+        }
+    }
+}
+
 /// The configuration cache (FIFO by default, per the paper).
 ///
 /// The slot count is the headline capacity parameter swept in Table 2
@@ -39,17 +202,8 @@ pub struct EvictedEntry {
 pub struct ReconfCache {
     slots: usize,
     policy: ReplacementPolicy,
-    entries: HashMap<u32, Configuration>,
+    entries: HashMap<u32, Entry>,
     order: VecDeque<u32>,
-    /// Lookup hits per resident entry since its (re-)insertion, for
-    /// live-vs-dead eviction accounting.
-    uses: HashMap<u32, u64>,
-    /// `stream_ok(K)` tags: resident entries whose region matched a
-    /// streaming certificate at commit time, with the certified burst.
-    /// Purely a contract surface for the streaming executor — replay
-    /// behavior does not consult it. A tag lives and dies with its
-    /// entry (cleared on flush, eviction and replacement).
-    stream_tags: HashMap<u32, u32>,
     hits: u64,
     misses: u64,
     insertions: u64,
@@ -73,8 +227,6 @@ impl ReconfCache {
             policy,
             entries: HashMap::new(),
             order: VecDeque::new(),
-            uses: HashMap::new(),
-            stream_tags: HashMap::new(),
             hits: 0,
             misses: 0,
             insertions: 0,
@@ -100,18 +252,19 @@ impl ReconfCache {
         self.entries.is_empty()
     }
 
-    /// Looks up the configuration for `pc`, counting a hit or miss.
-    /// Under LRU, a hit refreshes the entry's recency.
-    pub fn lookup(&mut self, pc: u32) -> Option<&Configuration> {
-        match self.entries.get(&pc) {
-            Some(c) => {
+    /// Looks up the record for `pc` with one hash probe, counting a hit
+    /// or miss. Under LRU, a hit refreshes the entry's recency. Clone
+    /// the returned `Arc` to keep the record past later cache writes.
+    pub fn lookup(&mut self, pc: u32) -> Option<&Arc<ReplayRecord>> {
+        match self.entries.get_mut(&pc) {
+            Some(entry) => {
                 self.hits += 1;
-                *self.uses.entry(pc).or_insert(0) += 1;
+                entry.uses += 1;
                 if self.policy == ReplacementPolicy::Lru {
                     self.order.retain(|&p| p != pc);
                     self.order.push_back(pc);
                 }
-                Some(c)
+                Some(&entry.record)
             }
             None => {
                 self.misses += 1;
@@ -122,25 +275,22 @@ impl ReconfCache {
 
     /// Peeks without touching the statistics.
     pub fn peek(&self, pc: u32) -> Option<&Configuration> {
-        self.entries.get(&pc)
+        self.entries.get(&pc).map(|e| e.record.config())
     }
 
     /// Inserts a configuration (keyed by its entry PC), evicting the
     /// oldest entry when full. Re-inserting an existing PC replaces the
     /// configuration without changing its FIFO position (and restarts
-    /// its reuse count — the new translation must earn its own keep).
-    /// Returns the displaced entry's identity and reuse count, if the
-    /// insert evicted one.
+    /// its reuse count and drops its stream tag — the new translation
+    /// must earn its own keep). Returns the displaced entry's identity
+    /// and reuse count, if the insert evicted one.
     pub fn insert(&mut self, config: Configuration) -> Option<EvictedEntry> {
         if self.slots == 0 {
             return None;
         }
         let pc = config.entry_pc;
         self.insertions += 1;
-        self.uses.insert(pc, 0);
-        // A replacement translation must re-earn its tag too.
-        self.stream_tags.remove(&pc);
-        if self.entries.insert(pc, config).is_some() {
+        if self.entries.insert(pc, Entry::new(config)).is_some() {
             return None;
         }
         self.order.push_back(pc);
@@ -149,18 +299,16 @@ impl ReconfCache {
             // Skip stale order entries left by flushes.
             if let Some(old) = self.order.pop_front() {
                 if let Some(victim) = self.entries.remove(&old) {
-                    let uses = self.uses.remove(&old).unwrap_or(0);
-                    self.stream_tags.remove(&old);
                     self.evictions += 1;
-                    if uses > 0 {
+                    if victim.uses > 0 {
                         self.evictions_live += 1;
                     } else {
                         self.evictions_dead += 1;
                     }
                     evicted = Some(EvictedEntry {
                         pc: old,
-                        len: victim.instruction_count() as u32,
-                        uses,
+                        len: victim.record.config().instruction_count() as u32,
+                        uses: victim.uses,
                     });
                 }
             }
@@ -172,8 +320,6 @@ impl ReconfCache {
     pub fn flush(&mut self, pc: u32) {
         if self.entries.remove(&pc).is_some() {
             self.flushes += 1;
-            self.uses.remove(&pc);
-            self.stream_tags.remove(&pc);
             self.order.retain(|&p| p != pc);
         }
     }
@@ -183,22 +329,27 @@ impl ReconfCache {
     /// `false` (and tags nothing) if no entry is resident at `pc` or
     /// `burst` is 0.
     pub fn tag_stream(&mut self, pc: u32, burst: u32) -> bool {
-        if burst == 0 || !self.entries.contains_key(&pc) {
-            return false;
+        match self.entries.get_mut(&pc) {
+            Some(entry) if burst > 0 => {
+                entry.stream_tag = Some(burst);
+                true
+            }
+            _ => false,
         }
-        self.stream_tags.insert(pc, burst);
-        true
     }
 
     /// The certified burst K of the entry at `pc`, if it is resident
     /// and stream-tagged.
     pub fn stream_tag(&self, pc: u32) -> Option<u32> {
-        self.stream_tags.get(&pc).copied()
+        self.entries.get(&pc).and_then(|e| e.stream_tag)
     }
 
     /// Number of resident stream-tagged entries.
     pub fn stream_tag_count(&self) -> usize {
-        self.stream_tags.len()
+        self.entries
+            .values()
+            .filter(|e| e.stream_tag.is_some())
+            .count()
     }
 
     /// `(hits, misses)` lookup counters.
@@ -233,9 +384,17 @@ impl ReconfCache {
         self.flushes
     }
 
+    /// Iterates over the stored records in FIFO (insertion) order.
+    pub fn records(&self) -> impl Iterator<Item = &Arc<ReplayRecord>> + '_ {
+        self.order
+            .iter()
+            .filter_map(|pc| self.entries.get(pc))
+            .map(|e| &e.record)
+    }
+
     /// Iterates over the stored configurations in FIFO (insertion) order.
     pub fn iter(&self) -> impl Iterator<Item = &Configuration> + '_ {
-        self.order.iter().filter_map(|pc| self.entries.get(pc))
+        self.records().map(|r| r.config())
     }
 
     /// Restores one entry without touching any statistic — the snapshot
@@ -250,7 +409,7 @@ impl ReconfCache {
         if self.slots == 0 || self.entries.len() >= self.slots || self.entries.contains_key(&pc) {
             return false;
         }
-        self.entries.insert(pc, config);
+        self.entries.insert(pc, Entry::new(config));
         self.order.push_back(pc);
         true
     }
@@ -492,6 +651,27 @@ mod tests {
         cache.insert(config_at(0x400)); // evicts 0x200
         assert!(cache.peek(0x200).is_none());
         assert_eq!(cache.stream_tag(0x200), None);
+    }
+
+    /// A hit's partial insert can evict the entry being replayed: the
+    /// refcount the hit took keeps its record whole.
+    #[test]
+    fn hit_record_outlives_its_eviction() {
+        let mut cache = ReconfCache::new(1);
+        cache.insert(config_at(0x100));
+        let record = Arc::clone(cache.lookup(0x100).expect("hit"));
+        assert_eq!(cache.insert(config_at(0x200)).map(|e| e.pc), Some(0x100));
+        assert!(cache.peek(0x100).is_none());
+        assert_eq!(record.config(), &config_at(0x100));
+    }
+
+    /// Sweep and serve workers each own a system, so its cache and the
+    /// records it shares must cross threads.
+    #[test]
+    fn records_are_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Arc<ReplayRecord>>();
+        send_sync::<ReconfCache>();
     }
 
     #[test]

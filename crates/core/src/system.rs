@@ -9,13 +9,12 @@
 //! while the DIM hardware translates it in parallel.
 
 use crate::{
-    BimodalPredictor, CycleBreakdown, DimStats, ReconfCache, ReplacementPolicy, Translator,
-    TranslatorOptions,
+    BimodalPredictor, CycleBreakdown, DimStats, ReconfCache, ReplacementPolicy, ReplayRecord,
+    Translator, TranslatorOptions,
 };
 use dim_cgra::{
     verify_cert, ArrayShape, ArrayTiming, Configuration, EncodingParams, FabricHeat, StreamingCert,
 };
-use dim_mips::Instruction;
 use dim_mips_sim::{HaltReason, Machine, SimError};
 use dim_obs::{
     ArrayInvoke, FabricUtil, HostBucket, HostSplit, NullProbe, Probe, ProbeEvent, SharedClock,
@@ -321,88 +320,87 @@ impl System {
         max_instructions: u64,
         probe: &mut P,
     ) -> Result<HaltReason, SimError> {
+        // The loop is monomorphized over the attribution hooks, so a run
+        // without host split pays no per-iteration check for it.
+        let result = match self.host_split.take() {
+            Some(mut split) => {
+                let result = self.run_loop(max_instructions, probe, &mut *split);
+                self.host_split = Some(split);
+                result
+            }
+            None => self.run_loop(max_instructions, probe, &mut NoSplit),
+        }?;
+        // Refresh the detection-energy account so it is exact even when
+        // the run ends between array invocations.
+        self.stats.translated_instructions = self.translator.observed_instructions();
+        Ok(result)
+    }
+
+    fn run_loop<P: Probe, S: SplitHooks>(
+        &mut self,
+        max_instructions: u64,
+        probe: &mut P,
+        split: &mut S,
+    ) -> Result<HaltReason, SimError> {
         let mut retired: u64 = 0;
-        let result = loop {
+        loop {
             if retired >= max_instructions {
-                break self.machine.halted().unwrap_or(HaltReason::StepLimit);
+                return Ok(self.machine.halted().unwrap_or(HaltReason::StepLimit));
             }
             if let Some(reason) = self.machine.halted() {
-                break reason;
+                return Ok(reason);
             }
             let pc = self.machine.cpu.pc;
-            // Host-time attribution brackets the four engine sections.
-            // When disabled the `Option` check is the entire cost; when
-            // enabled, most occurrences pay one counter increment (the
-            // clock is only read on strided samples — see `HostSplit`).
-            if let Some(split) = self.host_split.as_deref_mut() {
-                split.enter(HostBucket::Rcache);
-            }
+            // Host-time attribution brackets the four engine sections;
+            // most occurrences pay one counter increment (the clock is
+            // only read on strided samples — see `HostSplit`).
+            split.enter(HostBucket::Rcache);
             let hit = self.cache.lookup(pc).cloned();
-            if let Some(split) = self.host_split.as_deref_mut() {
-                split.exit(HostBucket::Rcache);
-            }
-            if let Some(config) = hit {
+            split.exit(HostBucket::Rcache);
+            if let Some(record) = hit {
+                let covered = record.config().instruction_count();
                 if P::ENABLED {
                     probe.emit(ProbeEvent::RcacheHit {
                         pc,
-                        len: config.instruction_count() as u32,
+                        len: covered as u32,
                     });
                 }
                 // A cache hit interrupts any in-flight detection region.
                 // (The inserted partial may even evict the entry we are
-                // about to execute, which is why it was cloned first.)
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.enter(HostBucket::Translate);
-                }
+                // about to execute, which is why the hit holds its own
+                // refcount on the record.)
+                split.enter(HostBucket::Translate);
                 if let Some(partial) = self.translator.take_partial_probed(pc, probe) {
                     self.insert_config(partial, probe);
                 }
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.exit(HostBucket::Translate);
-                }
-                retired += config.instruction_count() as u64;
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.enter(HostBucket::ArrayReplay);
-                }
-                let exec = self.execute_config(&config, probe);
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.exit(HostBucket::ArrayReplay);
-                }
+                split.exit(HostBucket::Translate);
+                retired += covered as u64;
+                split.enter(HostBucket::ArrayReplay);
+                let exec = self.execute_config(&record, probe);
+                split.exit(HostBucket::ArrayReplay);
                 exec?;
             } else {
                 if P::ENABLED {
                     probe.emit(ProbeEvent::RcacheMiss { pc });
                 }
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.enter(HostBucket::FetchDecode);
-                }
+                split.enter(HostBucket::FetchDecode);
                 let step = self.machine.step_probed(probe);
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.exit(HostBucket::FetchDecode);
-                }
+                split.exit(HostBucket::FetchDecode);
                 let info = step?;
                 retired += 1;
                 if let Some(taken) = info.taken {
                     self.predictor.update(info.pc, taken);
                 }
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.enter(HostBucket::Translate);
-                }
+                split.enter(HostBucket::Translate);
                 if let Some(done) = self
                     .translator
                     .observe_probed(&info, &self.predictor, probe)
                 {
                     self.insert_config(done, probe);
                 }
-                if let Some(split) = self.host_split.as_deref_mut() {
-                    split.exit(HostBucket::Translate);
-                }
+                split.exit(HostBucket::Translate);
             }
-        };
-        // Refresh the detection-energy account so it is exact even when
-        // the run ends between array invocations.
-        self.stats.translated_instructions = self.translator.observed_instructions();
-        Ok(result)
+        }
     }
 
     fn insert_config<P: Probe>(&mut self, config: Configuration, probe: &mut P) {
@@ -539,42 +537,27 @@ impl System {
         }
     }
 
-    /// Executes one cached configuration on the array.
-    fn execute_config<P: Probe>(
-        &mut self,
-        config: &Configuration,
-        probe: &mut P,
-    ) -> Result<(), SimError> {
-        self.stats.array_invocations += 1;
-        self.stats.array_occupied_rows += config.rows_used() as u64;
-        self.stats.cache_bits_read += self.stored_bits_per_config;
-
-        let entry_snapshot = self.config.cross_check.then(|| self.entry_context());
-
-        let timing = &self.config.timing;
-        let mut executed_depth: u8 = 0;
-        let mut misspec_branch: Option<(u32, bool)> = None;
-        let mut executed: u32 = 0;
-        let mut loads: u32 = 0;
-        let mut stores: u32 = 0;
-        let mut mem_stall_cycles: u64 = 0;
-
-        'segments: for segment in config.segments() {
+    /// Replays `config`'s ops on the machine, segment by segment, until
+    /// the last segment completes or a speculated branch resolves
+    /// against its prediction. Not generic over the probe, so every
+    /// probe runs the same replay code.
+    fn replay(&mut self, config: &Configuration) -> Result<Replay, SimError> {
+        let segments = config.segments();
+        let mut replay = Replay {
+            stop: segments.len().saturating_sub(1),
+            misspec_branch: None,
+            mem_stall_cycles: 0,
+        };
+        for (index, segment) in segments.iter().enumerate() {
             for op in config.segment_ops(segment) {
                 // Replay preserves exact architectural semantics; rows and
-                // columns only affect the cycle accounting below.
+                // columns only affect the cycle accounting.
                 self.machine.cpu.pc = op.pc;
                 let info = self.machine.cpu.execute(op.inst, &mut self.machine.mem)?;
-                executed += 1;
-                match op.inst {
-                    Instruction::Load { .. } => loads += 1,
-                    Instruction::Store { .. } => stores += 1,
-                    _ => {}
-                }
                 // Data-cache misses stall the whole array until resolved
                 // (paper §4.3); loads were *allocated* assuming hits.
                 if let (Some(dc), Some(addr)) = (&mut self.machine.dcache, info.mem_addr) {
-                    mem_stall_cycles += dc.access(addr);
+                    replay.mem_stall_cycles += dc.access(addr);
                 }
                 if let (Some(branch), Some(taken)) = (segment.branch, info.taken) {
                     if op.pc == branch.pc {
@@ -585,30 +568,54 @@ impl System {
                             // gated writes never trigger) and execution
                             // resumes at the actual target, already set by
                             // the replayed branch.
-                            executed_depth = segment.depth;
-                            misspec_branch = Some((branch.pc, branch.predicted_taken));
-                            break 'segments;
+                            replay.stop = index;
+                            replay.misspec_branch = Some((branch.pc, branch.predicted_taken));
+                            return Ok(replay);
                         }
                     }
                 }
             }
-            executed_depth = segment.depth;
             if segment.branch.is_none() {
                 self.machine.cpu.pc = segment.exit_pc;
             }
         }
+        Ok(replay)
+    }
 
-        self.stats.array_instructions += executed as u64;
-        self.stats.array_loads += loads as u64;
-        self.stats.array_stores += stores as u64;
+    /// Executes one cached configuration on the array.
+    fn execute_config<P: Probe>(
+        &mut self,
+        record: &ReplayRecord,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
+        let config = record.config();
+        self.stats.array_invocations += 1;
+        self.stats.array_occupied_rows += config.rows_used() as u64;
+        self.stats.cache_bits_read += self.stored_bits_per_config;
 
-        let spans = config.invocation_cycles(timing, executed_depth);
+        let entry_snapshot = self.config.cross_check.then(|| self.entry_context());
+
+        let Replay {
+            stop,
+            misspec_branch,
+            mem_stall_cycles,
+        } = self.replay(config)?;
+
+        // Everything but the memory stalls and the misspeculation penalty
+        // is a function of the stop segment, derived on the record's
+        // first hit.
+        let cost = &record.costs(&self.config.timing)[stop];
+        self.stats.array_instructions += u64::from(cost.invoke.executed);
+        self.stats.array_loads += u64::from(cost.invoke.loads);
+        self.stats.array_stores += u64::from(cost.invoke.stores);
+
+        let spans = cost.spans;
         let mut flushed = false;
         let mut misspec_penalty: u64 = 0;
         match misspec_branch {
             Some((branch_pc, predicted)) => {
                 self.stats.misspeculations += 1;
-                misspec_penalty = timing.misspeculation_penalty;
+                misspec_penalty = self.config.timing.misspeculation_penalty;
                 // Flush the whole configuration once the counter saturates
                 // the other way (paper §4.2), or once this configuration
                 // has misspeculated a bounded number of times in a row.
@@ -630,30 +637,30 @@ impl System {
             }
             None => {
                 self.stats.full_hits += 1;
-                self.misspec_counts.remove(&config.entry_pc);
+                if !self.misspec_counts.is_empty() {
+                    self.misspec_counts.remove(&config.entry_pc);
+                }
             }
         }
 
         // The array stalls on data-cache misses and pays the flush
         // penalty inside its execution window, so both belong to the
         // exec span — stats, trace, and probe events all see one number.
-        let exec_span = spans.exec + mem_stall_cycles + misspec_penalty;
+        let residual_cycles = mem_stall_cycles + misspec_penalty;
+        let exec_span = spans.exec + residual_cycles;
         self.stats.reconfig_stall_cycles += spans.stall;
         self.stats.array_exec_cycles += exec_span;
         self.stats.writeback_tail_cycles += spans.tail;
 
-        // Always-on fabric heat, fed from the same placement and timing
-        // state the spans were charged from. The stall + penalty cycles
-        // outside the row model travel as the sample's residual, so
-        // heat's cycles reconcile exactly with `array_exec_cycles`.
-        let fabric_sample = self.fabric.record(
-            config,
-            timing,
-            executed_depth,
-            mem_stall_cycles + misspec_penalty,
-        );
+        // Always-on fabric heat: the stop segment's `FabricHeat::record`
+        // contribution, derived from the same placement and timing state
+        // the spans were charged from, plus this hit's residual, so heat's
+        // cycles reconcile exactly with `array_exec_cycles`.
+        self.fabric.merge(&cost.heat);
+        self.fabric.residual_cycles = self.fabric.residual_cycles.saturating_add(residual_cycles);
         debug_assert_eq!(
-            fabric_sample.exec_cycles, spans.exec,
+            cost.fabric.exec_cycles(),
+            spans.exec,
             "fabric sample diverged from the charged exec span for config @ {:#x}",
             config.entry_pc
         );
@@ -662,7 +669,7 @@ impl System {
             if let Some((branch_pc, _)) = misspec_branch {
                 probe.emit(ProbeEvent::SpecMispredict {
                     region_pc: config.entry_pc,
-                    region_len: config.instruction_count() as u32,
+                    region_len: cost.invoke.covered,
                     branch_pc,
                     penalty_cycles: misspec_penalty as u32,
                 });
@@ -670,37 +677,19 @@ impl System {
             if flushed {
                 probe.emit(ProbeEvent::RcacheFlush {
                     pc: config.entry_pc,
-                    len: config.instruction_count() as u32,
+                    len: cost.invoke.covered,
                 });
             }
             probe.emit(ProbeEvent::Fabric(FabricUtil {
-                entry_pc: config.entry_pc,
-                rows: fabric_sample.rows,
-                exec_thirds: fabric_sample.exec_thirds as u32,
-                capacity_thirds: fabric_sample.capacity_thirds as u32,
-                alu_busy_thirds: fabric_sample.busy_thirds[0] as u32,
-                mult_busy_thirds: fabric_sample.busy_thirds[1] as u32,
-                ldst_busy_thirds: fabric_sample.busy_thirds[2] as u32,
-                issued_ops: fabric_sample.issued_ops,
-                squashed_ops: fabric_sample.squashed_ops,
-                residual_cycles: fabric_sample.residual_cycles as u32,
-                writeback_writes: fabric_sample.writeback_writes,
-                writeback_slots: fabric_sample.writeback_slots as u32,
+                residual_cycles: residual_cycles as u32,
+                ..cost.fabric
             }));
             probe.emit(ProbeEvent::ArrayInvoke(ArrayInvoke {
-                entry_pc: config.entry_pc,
                 exit_pc: self.machine.cpu.pc,
-                covered: config.instruction_count() as u32,
-                executed,
-                loads,
-                stores,
-                rows: config.rows_used() as u32,
-                spec_depth: executed_depth,
                 misspeculated: misspec_branch.is_some(),
                 flushed,
-                stall_cycles: spans.stall as u32,
                 exec_cycles: exec_span as u32,
-                tail_cycles: spans.tail as u32,
+                ..cost.invoke
             }));
         }
 
@@ -714,6 +703,47 @@ impl System {
         self.stats.translated_instructions = self.translator.observed_instructions();
         Ok(())
     }
+}
+
+/// Where one replay stopped, and what it cost beyond its stop segment.
+struct Replay {
+    /// Index of the segment replay stopped after.
+    stop: usize,
+    /// The misspeculated branch's PC and predicted direction, if any.
+    misspec_branch: Option<(u32, bool)>,
+    /// Data-cache stall cycles the replayed accesses incurred.
+    mem_stall_cycles: u64,
+}
+
+/// Host-time attribution hooks around the run loop's engine sections:
+/// [`HostSplit`] when enabled, [`NoSplit`] (which compiles away)
+/// otherwise.
+trait SplitHooks {
+    fn enter(&mut self, bucket: HostBucket);
+    fn exit(&mut self, bucket: HostBucket);
+}
+
+impl SplitHooks for HostSplit {
+    #[inline]
+    fn enter(&mut self, bucket: HostBucket) {
+        HostSplit::enter(self, bucket);
+    }
+
+    #[inline]
+    fn exit(&mut self, bucket: HostBucket) {
+        HostSplit::exit(self, bucket);
+    }
+}
+
+/// No host-time attribution.
+struct NoSplit;
+
+impl SplitHooks for NoSplit {
+    #[inline(always)]
+    fn enter(&mut self, _bucket: HostBucket) {}
+
+    #[inline(always)]
+    fn exit(&mut self, _bucket: HostBucket) {}
 }
 
 #[cfg(test)]

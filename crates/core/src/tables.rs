@@ -78,14 +78,13 @@ impl DependenceTable {
     }
 }
 
-/// Iterates the sources of `inst` that are live-ins w.r.t. `table`.
+/// Iterates the sources of `inst` that are live-ins w.r.t. `table`,
+/// without allocating.
 pub fn live_in_sources<'a>(
     table: &'a DependenceTable,
-    inst: &'a Instruction,
+    inst: &Instruction,
 ) -> impl Iterator<Item = DataLoc> + 'a {
     inst.reads()
-        .iter()
-        .collect::<Vec<_>>()
         .into_iter()
         .filter(move |&l| !table.is_produced(l))
 }

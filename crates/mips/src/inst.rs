@@ -108,6 +108,15 @@ impl Locs {
     }
 }
 
+impl IntoIterator for Locs {
+    type Item = DataLoc;
+    type IntoIter = std::iter::Flatten<std::iter::Take<std::array::IntoIter<Option<DataLoc>, 3>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().take(self.len as usize).flatten()
+    }
+}
+
 impl<'a> IntoIterator for &'a Locs {
     type Item = DataLoc;
     type IntoIter = std::iter::Map<

@@ -34,8 +34,6 @@ pub struct FlightRecorder {
     start: usize,
     /// Ring capacity (≥ 1).
     capacity: usize,
-    /// Events ever emitted.
-    total: u64,
     /// Overwritten (forgotten) events, indexed by
     /// [`ProbeEvent::type_index`].
     dropped: [u64; EVENT_KINDS],
@@ -50,7 +48,6 @@ impl FlightRecorder {
             ring: Vec::with_capacity(capacity),
             start: 0,
             capacity,
-            total: 0,
             dropped: [0; EVENT_KINDS],
         }
     }
@@ -62,7 +59,7 @@ impl FlightRecorder {
 
     /// Events ever emitted (retained + dropped).
     pub fn total(&self) -> u64 {
-        self.total
+        self.ring.len() as u64 + self.total_dropped()
     }
 
     /// Events currently retained.
@@ -148,7 +145,7 @@ impl FlightRecorder {
 
         let extra = [
             ("flight_capacity", format!("{}", self.capacity)),
-            ("flight_total", format!("{}", self.total)),
+            ("flight_total", format!("{}", self.total())),
             ("flight_trimmed", format!("{trimmed}")),
             ("dropped", dropped_obj),
         ];
@@ -165,7 +162,6 @@ impl FlightRecorder {
 impl Probe for FlightRecorder {
     #[inline]
     fn emit(&mut self, event: ProbeEvent) {
-        self.total += 1;
         if self.ring.len() < self.capacity {
             self.ring.push(event);
             return;

@@ -366,8 +366,12 @@ impl HostBucket {
 }
 
 /// Occurrences of a bucket that read the clock: the first
-/// `PRIMING_SAMPLES`, then every `SAMPLE_STRIDE`-th.
-const PRIMING_SAMPLES: u64 = 8;
+/// `PRIMING_SAMPLES`, then every `SAMPLE_STRIDE`-th. Two priming
+/// samples give every used bucket a nonzero estimate from a cold and a
+/// warm occurrence; each costs two clock reads (about 55 ns each on a
+/// 2-vCPU VM), which on a `tiny` run of a few thousand instructions is
+/// most of the split's overhead.
+const PRIMING_SAMPLES: u64 = 2;
 const SAMPLE_STRIDE: u64 = 64;
 
 #[derive(Debug, Clone, Default)]
@@ -392,7 +396,7 @@ impl BucketAcc {
 /// [`HostBucket`].
 ///
 /// The engine's hot sections run in ~100 ns, so reading the clock on
-/// every occurrence (~2×20 ns per section) would blow the ≤5% span
+/// every occurrence (2 × 20–55 ns per section) would blow the ≤5% span
 /// overhead budget. Instead every occurrence pays one counter
 /// increment, and only the first [`PRIMING_SAMPLES`] plus every
 /// [`SAMPLE_STRIDE`]-th occurrence read a clock pair; the estimate
@@ -1079,10 +1083,10 @@ mod tests {
             split.exit(HostBucket::Rcache);
         }
         assert_eq!(split.count(HostBucket::Rcache), 100);
-        // 8 priming samples + occurrence 64.
-        assert_eq!(split.sampled(HostBucket::Rcache), 9);
+        // 2 priming samples + occurrence 64.
+        assert_eq!(split.sampled(HostBucket::Rcache), 3);
         // Every occurrence took exactly 10 ns, so the estimate is
-        // exact: 9 samples × 10 ns × 100/9.
+        // exact: 3 samples × 10 ns × 100/3.
         assert_eq!(split.estimated_nanos(HostBucket::Rcache), 1_000);
         assert_eq!(split.estimated_nanos(HostBucket::Translate), 0);
         assert_eq!(split.total_estimated_nanos(), 1_000);
