@@ -2,7 +2,6 @@
 
 use crate::{ArrayShape, ArrayTiming, RowKind};
 use dim_mips::{DataLoc, FuClass, Instruction};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One operation placed at a row/column intersection.
@@ -190,6 +189,10 @@ impl RowUsage {
 /// the structural side — placement against an [`ArrayShape`], speculation
 /// segments, live-in/write-back sets — and the timing queries derived
 /// from them.
+///
+/// Live-ins and write-backs are fixed sets over the 34
+/// [`DataLoc::dense_index`] slots (32 GPRs, HI, LO). Both iterate in
+/// dense-index order, which is `DataLoc`'s `Ord`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Configuration {
     /// PC of the first covered instruction (the cache index).
@@ -198,10 +201,22 @@ pub struct Configuration {
     ops: Vec<PlacedOp>,
     rows: Vec<RowUsage>,
     segments: Vec<Segment>,
-    live_ins: BTreeSet<DataLoc>,
-    writebacks: BTreeMap<DataLoc, u8>,
+    /// One bit per dense index.
+    live_ins: u64,
+    /// Pending depth per dense index; `None` when not written back.
+    writebacks: [Option<u8>; DataLoc::COUNT],
     loads: u32,
     stores: u32,
+}
+
+/// The locations whose dense-index bits are set in `mask`, in
+/// dense-index order.
+fn mask_locs(mut mask: u64) -> impl Iterator<Item = DataLoc> {
+    std::iter::from_fn(move || {
+        let index = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        DataLoc::from_dense_index(index)
+    })
 }
 
 impl Configuration {
@@ -214,11 +229,25 @@ impl Configuration {
             ops: Vec::new(),
             rows: Vec::new(),
             segments: Vec::new(),
-            live_ins: BTreeSet::new(),
-            writebacks: BTreeMap::new(),
+            live_ins: 0,
+            writebacks: [None; DataLoc::COUNT],
             loads: 0,
             stores: 0,
         }
+    }
+
+    /// Empties the configuration in place and restarts it at
+    /// `entry_pc`, keeping its shape and its buffers' capacity: the
+    /// translator reuses one candidate for every region it opens.
+    pub fn reset(&mut self, entry_pc: u32) {
+        self.entry_pc = entry_pc;
+        self.ops.clear();
+        self.rows.clear();
+        self.segments.clear();
+        self.live_ins = 0;
+        self.writebacks = [None; DataLoc::COUNT];
+        self.loads = 0;
+        self.stores = 0;
     }
 
     /// The shape this configuration was placed against.
@@ -282,7 +311,7 @@ impl Configuration {
     /// Records that `loc` must be fetched from the register file during
     /// reconfiguration (a live-in of the configuration).
     pub fn note_live_in(&mut self, loc: DataLoc) {
-        self.live_ins.insert(loc);
+        self.live_ins |= 1u64 << loc.dense_index();
     }
 
     /// Records that `loc` is written back by the configuration at the
@@ -292,10 +321,8 @@ impl Configuration {
     /// becomes *pending* at the location's earliest write: if a deeper
     /// segment squashes, the shallower value must still retire.
     pub fn note_writeback(&mut self, loc: DataLoc, depth: u8) {
-        self.writebacks
-            .entry(loc)
-            .and_modify(|d| *d = (*d).min(depth))
-            .or_insert(depth);
+        let pending = &mut self.writebacks[loc.dense_index()];
+        *pending = Some(pending.map_or(depth, |d| d.min(depth)));
     }
 
     /// Closes the current segment (ops pushed since the previous segment
@@ -330,13 +357,16 @@ impl Configuration {
     /// Removes `loc` from the write-back map, returning its pending
     /// depth. Introspection/corruption support for the verifier.
     pub fn remove_writeback(&mut self, loc: DataLoc) -> Option<u8> {
-        self.writebacks.remove(&loc)
+        self.writebacks[loc.dense_index()].take()
     }
 
     /// Removes `loc` from the live-in set, reporting whether it was
     /// present. Introspection/corruption support for the verifier.
     pub fn remove_live_in(&mut self, loc: DataLoc) -> bool {
-        self.live_ins.remove(&loc)
+        let bit = 1u64 << loc.dense_index();
+        let present = self.live_ins & bit != 0;
+        self.live_ins &= !bit;
+        present
     }
 
     /// The speculation segments in depth order.
@@ -361,23 +391,27 @@ impl Configuration {
 
     /// Distinct register-file locations fetched at reconfiguration.
     pub fn live_in_count(&self) -> usize {
-        self.live_ins.len()
+        self.live_ins.count_ones() as usize
     }
 
-    /// Live-in locations.
+    /// Live-in locations, in dense-index order.
     pub fn live_ins(&self) -> impl Iterator<Item = DataLoc> + '_ {
-        self.live_ins.iter().copied()
+        mask_locs(self.live_ins)
     }
 
     /// Distinct locations written back (after last-write-wins collapsing).
     pub fn writeback_count(&self) -> usize {
-        self.writebacks.len()
+        self.writebacks.iter().flatten().count()
     }
 
     /// Write-back locations with the depth of their *earliest* write —
-    /// the depth at which the write-back becomes pending.
+    /// the depth at which the write-back becomes pending — in
+    /// dense-index order.
     pub fn writebacks(&self) -> impl Iterator<Item = (DataLoc, u8)> + '_ {
-        self.writebacks.iter().map(|(&l, &d)| (l, d))
+        self.writebacks
+            .iter()
+            .enumerate()
+            .filter_map(|(index, depth)| Some((DataLoc::from_dense_index(index)?, (*depth)?)))
     }
 
     /// Loads placed in this configuration.
@@ -461,7 +495,7 @@ impl Configuration {
     /// that hide it (paper §4.3). This is the *stall* visible to the
     /// processor.
     pub fn reconfig_stall_cycles(&self, timing: &ArrayTiming) -> u64 {
-        let fetch = (self.live_ins.len() as u64).div_ceil(self.shape.rf_read_ports.max(1) as u64);
+        let fetch = (self.live_in_count() as u64).div_ceil(self.shape.rf_read_ports.max(1) as u64);
         (timing.config_read_cycles + fetch).saturating_sub(timing.hidden_reconfig_cycles)
     }
 
@@ -474,8 +508,8 @@ impl Configuration {
     pub fn writeback_tail_cycles(&self, timing: &ArrayTiming, upto_depth: u8) -> u64 {
         let writes = self
             .writebacks
-            .values()
-            .filter(|&&d| d <= upto_depth)
+            .iter()
+            .filter(|d| d.is_some_and(|d| d <= upto_depth))
             .count() as u64;
         let wb_cycles = writes.div_ceil(self.shape.rf_write_ports.max(1) as u64);
         let exec = self.exec_cycles(timing, upto_depth);
@@ -743,6 +777,46 @@ mod tests {
         // still retire its depth-0 value.
         assert!(depths.contains(&(DataLoc::Gpr(Reg::T0), 0)));
         assert!(depths.contains(&(DataLoc::Gpr(Reg::T1), 1)));
+    }
+
+    #[test]
+    fn location_sets_iterate_in_dataloc_order_and_keep_every_depth() {
+        let mut c = Configuration::new(0, ArrayShape::config1());
+        let noted = [
+            DataLoc::Lo,
+            DataLoc::Gpr(Reg::RA),
+            DataLoc::Hi,
+            DataLoc::Gpr(Reg::ZERO),
+        ];
+        for (depth, loc) in [u8::MAX, 7, 0, 1].into_iter().zip(noted) {
+            c.note_live_in(loc);
+            c.note_live_in(loc);
+            c.note_writeback(loc, depth);
+        }
+        let mut sorted = noted.to_vec();
+        sorted.sort();
+        assert_eq!(c.live_ins().collect::<Vec<_>>(), sorted);
+        assert_eq!(c.live_in_count(), 4);
+        let wb: Vec<_> = c.writebacks().collect();
+        assert_eq!(
+            wb,
+            [
+                (DataLoc::Gpr(Reg::ZERO), 1),
+                (DataLoc::Gpr(Reg::RA), 7),
+                (DataLoc::Hi, 0),
+                (DataLoc::Lo, u8::MAX),
+            ]
+        );
+        assert_eq!(c.writeback_count(), 4);
+        assert_eq!(c.remove_writeback(DataLoc::Lo), Some(u8::MAX));
+        assert!(c.remove_live_in(DataLoc::Hi));
+        assert!(!c.remove_live_in(DataLoc::Hi));
+        assert_eq!((c.live_in_count(), c.writeback_count()), (3, 3));
+
+        c.place(0, alu(Reg::T0, Reg::A0, Reg::A1), 0, 0).unwrap();
+        c.finish_segment(0, None, 4);
+        c.reset(0x40);
+        assert_eq!(c, Configuration::new(0x40, ArrayShape::config1()));
     }
 
     #[test]

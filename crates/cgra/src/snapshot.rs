@@ -326,13 +326,18 @@ mod tests {
 
     #[test]
     fn config_roundtrips() {
-        let config = sample_config();
-        let mut bytes = Vec::new();
-        encode_config(&config, &mut bytes);
-        let mut cursor = Cursor::new(&bytes);
-        let back = decode_config(&mut cursor).unwrap();
-        assert_eq!(cursor.remaining(), 0);
-        assert_eq!(back, config);
+        // Decoding passes the stored depths to `note_writeback`
+        // unchecked, so every `u8` depth must survive.
+        let mut deepest = sample_config();
+        deepest.note_writeback(DataLoc::Hi, u8::MAX);
+        for config in [sample_config(), deepest] {
+            let mut bytes = Vec::new();
+            encode_config(&config, &mut bytes);
+            let mut cursor = Cursor::new(&bytes);
+            let back = decode_config(&mut cursor).unwrap();
+            assert_eq!(cursor.remaining(), 0);
+            assert_eq!(back, config);
+        }
     }
 
     #[test]

@@ -47,45 +47,52 @@ fn small_shape() -> impl Strategy<Value = ArrayShape> {
     })
 }
 
+/// Places `insts` (each with its minimum row) into an empty
+/// configuration of `shape` and checks every placement against the
+/// shape's rows and per-row unit counts.
+fn check_placement_respects_shape(shape: ArrayShape, insts: &[(Instruction, usize)]) {
+    let mut config = Configuration::new(0x400000, shape);
+    for (i, (inst, min_row)) in insts.iter().enumerate() {
+        match config.place(0x400000 + 4 * i as u32, *inst, 0, *min_row) {
+            Ok((row, col)) => {
+                prop_assert!((row as usize) < shape.rows);
+                prop_assert!(row as usize >= *min_row);
+                prop_assert!((col as usize) < shape.units_per_row(inst.fu_class()));
+            }
+            Err(PlaceError::Full) => {
+                // Acceptable whenever capacity below `min_row` ran out.
+            }
+            Err(PlaceError::Unsupported) => {
+                prop_assert_eq!(inst.fu_class(), FuClass::Unsupported);
+            }
+        }
+    }
+    prop_assert!(config.rows_used() <= shape.rows);
+    // Per-row capacity was never exceeded: recount from placed ops.
+    let mut counts = vec![(0usize, 0usize, 0usize); config.rows_used()];
+    for op in config.ops() {
+        let c = &mut counts[op.row as usize];
+        match op.class {
+            FuClass::Alu | FuClass::Branch => c.0 += 1,
+            FuClass::Multiplier => c.1 += 1,
+            FuClass::LoadStore => c.2 += 1,
+            FuClass::Unsupported => unreachable!(),
+        }
+    }
+    for (alus, mults, ldsts) in counts {
+        prop_assert!(alus <= shape.alus_per_row);
+        prop_assert!(mults <= shape.mults_per_row);
+        prop_assert!(ldsts <= shape.ldsts_per_row);
+    }
+}
+
 proptest! {
     #[test]
     fn placement_respects_shape(
         shape in small_shape(),
         insts in prop::collection::vec((any_placeable_inst(), 0usize..8), 1..64),
     ) {
-        let mut config = Configuration::new(0x400000, shape);
-        for (i, (inst, min_row)) in insts.iter().enumerate() {
-            match config.place(0x400000 + 4 * i as u32, *inst, 0, *min_row) {
-                Ok((row, col)) => {
-                    prop_assert!((row as usize) < shape.rows);
-                    prop_assert!(row as usize >= *min_row);
-                    prop_assert!((col as usize) < shape.units_per_row(inst.fu_class()));
-                }
-                Err(PlaceError::Full) => {
-                    // Acceptable whenever capacity below `min_row` ran out.
-                }
-                Err(PlaceError::Unsupported) => {
-                    prop_assert_eq!(inst.fu_class(), FuClass::Unsupported);
-                }
-            }
-        }
-        prop_assert!(config.rows_used() <= shape.rows);
-        // Per-row capacity was never exceeded: recount from placed ops.
-        let mut counts = vec![(0usize, 0usize, 0usize); config.rows_used()];
-        for op in config.ops() {
-            let c = &mut counts[op.row as usize];
-            match op.class {
-                FuClass::Alu | FuClass::Branch => c.0 += 1,
-                FuClass::Multiplier => c.1 += 1,
-                FuClass::LoadStore => c.2 += 1,
-                FuClass::Unsupported => unreachable!(),
-            }
-        }
-        for (alus, mults, ldsts) in counts {
-            prop_assert!(alus <= shape.alus_per_row);
-            prop_assert!(mults <= shape.mults_per_row);
-            prop_assert!(ldsts <= shape.ldsts_per_row);
-        }
+        check_placement_respects_shape(shape, &insts);
     }
 
     #[test]
@@ -127,4 +134,25 @@ proptest! {
         prop_assert!(dim_cgra::cache_bytes(&mk(rows, alus), &params, 2)
             < dim_cgra::cache_bytes(&mk(rows, alus), &params, 4));
     }
+}
+
+/// A recorded failure: an op whose minimum row lies below a one-row
+/// shape must be refused as full, leaving no row occupied.
+#[test]
+fn regression_min_row_below_a_one_row_shape() {
+    let shape = ArrayShape {
+        rows: 1,
+        alus_per_row: 1,
+        mults_per_row: 1,
+        ldsts_per_row: 1,
+        rf_read_ports: 4,
+        rf_write_ports: 4,
+    };
+    let add = Instruction::Alu {
+        op: AluOp::Addu,
+        rd: Reg::ZERO,
+        rs: Reg::ZERO,
+        rt: Reg::ZERO,
+    };
+    check_placement_respects_shape(shape, &[(add, 2)]);
 }

@@ -56,6 +56,9 @@ impl TranslatorOptions {
     }
 }
 
+/// The region under detection. One candidate lives as long as its
+/// translator and is reset in place whenever a region opens, so opening
+/// and dropping a region allocates nothing.
 #[derive(Debug, Clone)]
 struct Candidate {
     config: Configuration,
@@ -64,12 +67,10 @@ struct Candidate {
 }
 
 impl Candidate {
-    fn new(entry_pc: u32, shape: ArrayShape) -> Candidate {
-        Candidate {
-            config: Configuration::new(entry_pc, shape),
-            table: DependenceTable::new(),
-            depth: 0,
-        }
+    fn reset(&mut self, entry_pc: u32) {
+        self.config.reset(entry_pc);
+        self.table = DependenceTable::new();
+        self.depth = 0;
     }
 }
 
@@ -82,7 +83,9 @@ impl Candidate {
 #[derive(Debug, Clone)]
 pub struct Translator {
     opts: TranslatorOptions,
-    candidate: Option<Candidate>,
+    candidate: Candidate,
+    /// Whether `candidate` holds an in-flight region.
+    open: bool,
     /// Whether the next observed instruction is a valid region start
     /// (i.e. it is the first instruction after a control transfer).
     boundary: bool,
@@ -95,7 +98,12 @@ impl Translator {
     pub fn new(opts: TranslatorOptions) -> Translator {
         Translator {
             opts,
-            candidate: None,
+            candidate: Candidate {
+                config: Configuration::new(0, opts.shape),
+                table: DependenceTable::new(),
+                depth: 0,
+            },
+            open: false,
             boundary: true,
             observed: 0,
         }
@@ -125,7 +133,7 @@ impl Translator {
     /// leave both sides in identical states; otherwise the saved run and
     /// its warm restart would translate (and cache) different regions.
     pub fn abandon_region(&mut self) {
-        self.candidate = None;
+        self.open = false;
         self.boundary = true;
     }
 
@@ -149,11 +157,11 @@ impl Translator {
         exit_pc: u32,
         probe: &mut P,
     ) -> Option<Configuration> {
-        let cand = self.candidate.take()?;
-        if cand.config.instruction_count() < 8 {
+        if !self.open || self.candidate.config.instruction_count() < 8 {
+            self.open = false;
             return None;
         }
-        let result = Self::finalize(cand, exit_pc);
+        let result = self.close(exit_pc);
         if P::ENABLED {
             if let Some(config) = &result {
                 probe.emit(commit_event(config, true));
@@ -162,12 +170,16 @@ impl Translator {
         result
     }
 
-    fn finalize(mut cand: Candidate, exit_pc: u32) -> Option<Configuration> {
+    /// Closes the in-flight region at `exit_pc`, returning an exact-size
+    /// copy of it if it is worth caching.
+    fn close(&mut self, exit_pc: u32) -> Option<Configuration> {
+        self.open = false;
+        let cand = &mut self.candidate;
         if !cand.config.worth_caching() {
             return None;
         }
         cand.config.finish_segment(cand.depth, None, exit_pc);
-        Some(cand.config)
+        Some(cand.config.clone())
     }
 
     /// Feeds one retired instruction. Returns a finished configuration
@@ -190,15 +202,13 @@ impl Translator {
         predictor: &BimodalPredictor,
         probe: &mut P,
     ) -> Option<Configuration> {
-        let had_candidate = self.candidate.is_some();
+        let was_open = self.open;
         let result = self.observe_impl(info, predictor);
         if P::ENABLED {
-            if !had_candidate {
-                if let Some(cand) = &self.candidate {
-                    probe.emit(ProbeEvent::TransBegin {
-                        pc: cand.config.entry_pc,
-                    });
-                }
+            if !was_open && self.open {
+                probe.emit(ProbeEvent::TransBegin {
+                    pc: self.candidate.config.entry_pc,
+                });
             }
             if let Some(config) = &result {
                 probe.emit(commit_event(config, false));
@@ -216,11 +226,14 @@ impl Translator {
         let was_boundary = self.boundary;
         self.boundary = info.inst.is_control() || !matches!(info.effect, Effect::None);
 
-        let mut cand = match self.candidate.take() {
-            Some(c) => c,
-            None if was_boundary => Candidate::new(info.pc, self.opts.shape),
-            None => return None,
-        };
+        if !self.open {
+            if !was_boundary {
+                return None;
+            }
+            self.candidate.reset(info.pc);
+            self.open = true;
+        }
+        let cand = &mut self.candidate;
 
         let shift_excluded = !self.opts.support_shifts
             && matches!(
@@ -228,15 +241,15 @@ impl Translator {
                 dim_mips::Instruction::Shift { .. } | dim_mips::Instruction::ShiftVar { .. }
             );
         match info.inst.fu_class() {
-            _ if shift_excluded => Self::finalize(cand, info.pc),
-            FuClass::Unsupported => Self::finalize(cand, info.pc),
+            _ if shift_excluded => self.close(info.pc),
+            FuClass::Unsupported => self.close(info.pc),
             FuClass::Branch => {
                 let taken = info.taken.expect("branches report an outcome");
                 let extend = self.opts.speculation
                     && cand.depth + 1 < self.opts.max_spec_blocks
                     && predictor.saturated_direction(info.pc) == Some(taken);
                 if !extend {
-                    return Self::finalize(cand, info.pc);
+                    return self.close(info.pc);
                 }
                 // Translate the branch as a gating compare in the array.
                 let min_row = cand.table.min_row(&info.inst) as usize;
@@ -260,10 +273,9 @@ impl Translator {
                         cand.config
                             .finish_segment(depth, Some(branch), branch.predicted_pc());
                         cand.depth += 1;
-                        self.candidate = Some(cand);
                         None
                     }
-                    Err(_) => Self::finalize(cand, info.pc),
+                    Err(_) => self.close(info.pc),
                 }
             }
             _ => {
@@ -278,12 +290,9 @@ impl Translator {
                         for dst in info.inst.writes().iter() {
                             cand.config.note_writeback(dst, depth);
                         }
-                        self.candidate = Some(cand);
                         None
                     }
-                    Err(PlaceError::Full) | Err(PlaceError::Unsupported) => {
-                        Self::finalize(cand, info.pc)
-                    }
+                    Err(PlaceError::Full) | Err(PlaceError::Unsupported) => self.close(info.pc),
                 }
             }
         }
@@ -400,7 +409,7 @@ mod tests {
         // candidate open; close via unsupported:
         t.observe(&step(0x104, Instruction::Syscall, None), &p);
         // syscall sets boundary → next starts.
-        assert!(t.candidate.is_none());
+        assert!(!t.open);
     }
 
     #[test]

@@ -1,0 +1,267 @@
+//! One translator reuses one detection candidate for every region it
+//! opens. These tests feed a single `Translator` back-to-back regions
+//! that end every way a region can end, and check that each region
+//! translates exactly as it does on a fresh translator: nothing of a
+//! closed, dropped or abandoned region (load/store counts, row usage,
+//! the dependence table, the speculation depth, live-ins, write-backs)
+//! carries into the next.
+
+use dim_cgra::{ArrayShape, Configuration};
+use dim_core::{BimodalPredictor, Translator, TranslatorOptions};
+use dim_mips::asm::{assemble_with, AsmOptions};
+use dim_mips::Instruction;
+use dim_mips_sim::{Effect, StepInfo};
+
+/// How a region's detection ends after its instructions are observed.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    /// The last observed instruction closes (or drops) the region.
+    Observed,
+    /// A cache hit at the next PC interrupts it (`take_partial`).
+    Partial,
+    /// A snapshot discards it (`abandon_region`).
+    Abandon,
+}
+
+struct Region {
+    name: &'static str,
+    base: u32,
+    src: &'static str,
+    /// Outcomes of the branches the walk meets, in order.
+    taken: &'static [bool],
+    end: End,
+}
+
+/// Two rows of config #1's units, so a chain of three dependent ops
+/// fills the array.
+fn two_rows() -> ArrayShape {
+    ArrayShape {
+        rows: 2,
+        ..ArrayShape::config1()
+    }
+}
+
+/// The regions, in feeding order. Each one leaves loads, stores, rows,
+/// producers and (the speculated one) a depth behind for the next.
+const REGIONS: [Region; 8] = [
+    Region {
+        name: "three ops at a branch",
+        base: 0x1000,
+        src: "top: lw $t0, 0($a0)
+                   sw $a1, 4($a0)
+                   mult $t0, $a1
+                   bne $t0, $zero, top",
+        taken: &[false],
+        end: End::Observed,
+    },
+    Region {
+        name: "partial under eight ops",
+        base: 0x1100,
+        src: "mflo $t1
+              lw $t3, 8($a0)
+              addu $t2, $t1, $t3
+              sw $t1, 12($a0)",
+        taken: &[],
+        end: End::Partial,
+    },
+    Region {
+        name: "partial at nine ops",
+        base: 0x1200,
+        src: "mfhi $t4
+              lw $t5, 0($a1)
+              lw $t6, 4($a1)
+              mult $t5, $t6
+              addu $t7, $t4, $a2
+              xor $s0, $a2, $a3
+              or $s1, $a0, $a3
+              sw $t4, 8($a1)
+              and $s2, $s0, $s1",
+        taken: &[],
+        end: End::Partial,
+    },
+    Region {
+        name: "abandoned",
+        base: 0x1300,
+        src: "lw $s3, 0($a2)
+              addu $s4, $s3, $a0
+              mult $s4, $s3",
+        taken: &[],
+        end: End::Abandon,
+    },
+    Region {
+        name: "unsupported div",
+        base: 0x1400,
+        src: "addu $t0, $a0, $a1
+              lw $t1, 0($t0)
+              mult $a0, $a1
+              mflo $t2
+              sw $a3, 4($a0)
+              div $t0, $a1",
+        taken: &[],
+        end: End::Observed,
+    },
+    Region {
+        name: "array full",
+        base: 0x1500,
+        src: "addu $t0, $a0, $a1
+              lw $t1, 0($a2)
+              mult $a0, $a1
+              addu $t3, $t0, $t1
+              addu $t4, $t3, $t0",
+        taken: &[],
+        end: End::Observed,
+    },
+    Region {
+        name: "speculated into a second segment",
+        base: 0x1600,
+        src: "lw $t0, 0($a0)
+              mult $t0, $a1
+              addu $t1, $a2, $a3
+              bne $t1, $zero, next
+              addu $zero, $zero, $zero
+        next: sw $a1, 8($a0)
+              addu $t3, $t1, $a0
+              beq $t3, $zero, next",
+        taken: &[true, false],
+        end: End::Observed,
+    },
+    Region {
+        name: "after speculation",
+        base: 0x1700,
+        src: "addu $t5, $t1, $a0
+              sw $t5, 0($a1)
+              mult $a0, $a2
+              mfhi $t7
+              jr $ra",
+        taken: &[],
+        end: End::Observed,
+    },
+];
+
+/// The retired-instruction stream of `region`: its text walked from
+/// the base, following the given branch outcomes, until it leaves.
+fn steps(region: &Region) -> Vec<StepInfo> {
+    let opts = AsmOptions {
+        text_base: region.base,
+        ..AsmOptions::default()
+    };
+    let program = assemble_with(region.src, opts).expect(region.name);
+    let text = program.decoded();
+    let mut taken = region.taken.iter();
+    let mut steps = Vec::new();
+    let mut pc = region.base;
+    while let Some(&inst) = text.get(((pc - region.base) / 4) as usize) {
+        let outcome = inst
+            .branch_target(pc)
+            .map(|_| *taken.next().expect("an outcome per branch"));
+        let next_pc = match (outcome, inst.branch_target(pc)) {
+            (Some(true), Some(target)) => target,
+            _ => pc + 4,
+        };
+        let effect = match inst {
+            Instruction::Syscall => Effect::Syscall,
+            _ => Effect::None,
+        };
+        steps.push(StepInfo {
+            pc,
+            inst,
+            next_pc,
+            taken: outcome,
+            mem_addr: None,
+            effect,
+        });
+        pc = next_pc;
+    }
+    assert!(taken.next().is_none(), "{}: unused outcomes", region.name);
+    steps
+}
+
+/// Feeds `region` to `translator` after a boundary (as the system does
+/// after an array invocation), returning what every call produced.
+fn feed(
+    translator: &mut Translator,
+    predictor: &BimodalPredictor,
+    region: &Region,
+) -> Vec<Option<Configuration>> {
+    translator.note_boundary();
+    let steps = steps(region);
+    let mut out: Vec<_> = steps
+        .iter()
+        .map(|info| translator.observe(info, predictor))
+        .collect();
+    let exit_pc = steps.last().expect("region has instructions").next_pc;
+    match region.end {
+        End::Observed => {}
+        End::Partial => out.push(translator.take_partial(exit_pc)),
+        End::Abandon => translator.abandon_region(),
+    }
+    out
+}
+
+/// The speculated region's branch is saturated taken; no other is.
+fn predictor() -> BimodalPredictor {
+    let mut predictor = BimodalPredictor::new();
+    let spec = &REGIONS[6];
+    let branch = steps(spec)
+        .into_iter()
+        .find(|s| s.taken == Some(true))
+        .expect("speculated branch");
+    predictor.update(branch.pc, true);
+    predictor.update(branch.pc, true);
+    predictor
+}
+
+fn options() -> TranslatorOptions {
+    TranslatorOptions::new(two_rows())
+}
+
+#[test]
+fn a_reused_candidate_translates_every_region_as_a_fresh_one() {
+    let predictor = predictor();
+    let mut reused = Translator::new(options());
+    for region in &REGIONS {
+        let got = feed(&mut reused, &predictor, region);
+        let want = feed(&mut Translator::new(options()), &predictor, region);
+        assert_eq!(got, want, "{}", region.name);
+    }
+}
+
+#[test]
+fn the_regions_end_the_way_they_are_named() {
+    let predictor = predictor();
+    let mut translator = Translator::new(options());
+    let committed: Vec<Option<Configuration>> = REGIONS
+        .iter()
+        .map(|region| {
+            let mut out = feed(&mut translator, &predictor, region);
+            let last = out.pop().expect("one call at least");
+            assert!(out.iter().all(Option::is_none), "{}", region.name);
+            last
+        })
+        .collect();
+    let ops = |i: usize| committed[i].as_ref().map(Configuration::instruction_count);
+    // Three ops at an unsaturated branch, and a 4-op partial: dropped.
+    assert_eq!((ops(0), ops(1)), (None, None));
+    assert_eq!(ops(2), Some(9));
+    assert_eq!(ops(3), None);
+    // The div ends the region on the processor.
+    let div = committed[4].as_ref().expect("committed");
+    assert_eq!(div.instruction_count(), 5);
+    assert_eq!(div.segments()[0].exit_pc, 0x1414);
+    assert_eq!((div.load_count(), div.store_count()), (1, 1));
+    // The third dependent add finds no third row.
+    let full = committed[5].as_ref().expect("committed");
+    assert_eq!(full.instruction_count(), 4);
+    assert_eq!(full.rows_used(), 2);
+    assert_eq!(full.segments()[0].exit_pc, 0x1510);
+    // The saturated bne is placed; the unsaturated beq closes.
+    let spec = committed[6].as_ref().expect("committed");
+    assert_eq!(spec.segments().len(), 2);
+    assert_eq!(spec.max_depth(), 1);
+    assert_eq!(spec.instruction_count(), 6);
+    let after = committed[7].as_ref().expect("committed");
+    assert_eq!(after.max_depth(), 0);
+    assert!(after
+        .live_ins()
+        .any(|l| l == dim_mips::DataLoc::Gpr(dim_mips::Reg::T1)));
+}

@@ -93,7 +93,38 @@ proptest! {
     /// Arbitrary bytes forced into string form via lossy conversion.
     #[test]
     fn assembler_never_panics_on_lossy_bytes(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
-        let src = String::from_utf8_lossy(&bytes);
-        let _ = assemble(&src);
+        assemble_lossy(&bytes);
     }
+}
+
+fn assemble_lossy(bytes: &[u8]) {
+    let src = String::from_utf8_lossy(bytes);
+    let _ = assemble(&src);
+}
+
+// Inputs the properties above once failed on, replayed by name (the
+// offline proptest shim does not read `*.proptest-regressions` files).
+
+/// A bare mnemonic-less line: NUL, vertical tab, `)`, `(`.
+#[test]
+fn regression_lossy_nul_vt_parens() {
+    assemble_lossy(&[0, 11, 41, 40]);
+}
+
+/// A directive dot followed by a vertical tab and an invalid UTF-8 byte.
+#[test]
+fn regression_lossy_dot_vt_invalid_byte() {
+    assemble_lossy(&[46, 11, 128]);
+}
+
+/// A multi-byte character before register sigils and parentheses.
+#[test]
+fn regression_text_inverted_exclamation_sigils() {
+    let _ = assemble("\u{a1}$$$\t)(");
+}
+
+/// A directive dot, a vertical tab and a private-use character.
+#[test]
+fn regression_text_dot_vt_private_use() {
+    let _ = assemble(".\u{b}\u{e000}");
 }

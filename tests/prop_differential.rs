@@ -182,3 +182,18 @@ proptest! {
         run_and_compare(&src);
     }
 }
+
+/// A recorded failure: a byte load and a byte store around a `div` the
+/// array cannot run, three times round the loop, from all-zero
+/// registers (so the `div` divides by zero).
+#[test]
+fn regression_byte_memory_around_a_div_by_zero() {
+    let body = [
+        Op::Load("lbu", 4, 2),
+        Op::Store("sb", 1, 14),
+        Op::MulDiv("div", 4, 0),
+        Op::Alu3("subu", 5, 3, 0),
+        Op::Alu3("slt", 4, 7, 3),
+    ];
+    run_and_compare(&build_program(&[0; REGS.len()], &body, 3));
+}
