@@ -4,6 +4,7 @@
 use dim_cgra::ArrayShape;
 use dim_core::{System, SystemConfig};
 use dim_mips_sim::{HaltReason, Machine};
+pub use dim_workloads::run_baseline;
 use dim_workloads::{validate, BuiltBenchmark, Scale, WorkloadError};
 
 /// The three array configurations of Table 1, by name.
@@ -24,16 +25,6 @@ pub struct AcceleratedRun {
     pub system: System,
     /// Total cycles (processor + array).
     pub cycles: u64,
-}
-
-/// Runs the benchmark on the plain pipeline, validating the result.
-///
-/// # Errors
-///
-/// Propagates simulation/validation failures — a failure here is a bug in
-/// either a kernel or the simulator, so harnesses treat it as fatal.
-pub fn run_baseline(built: &BuiltBenchmark) -> Result<Machine, WorkloadError> {
-    dim_workloads::run_baseline(built)
 }
 
 /// Runs the benchmark on the MIPS+DIM+array system and validates that the

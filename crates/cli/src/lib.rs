@@ -24,8 +24,7 @@ use dim_mips::{disassemble_labeled, image};
 use dim_mips_sim::{HaltReason, Machine, Profiler};
 use dim_obs::status::{read_status, StatusEntry, STATUS_FILE_NAME};
 use dim_obs::{
-    ArrayInvoke, CycleProfiler, FlightGuard, FlightRecorder, JsonlSink, MetricsRegistry, Probe,
-    ProbeEvent,
+    ArrayInvoke, CycleProfiler, FlightRecorder, JsonlSink, MetricsRegistry, Probe, ProbeEvent,
 };
 use dim_workloads::Scale;
 use std::fmt;
@@ -80,7 +79,8 @@ commands:
                                      certificates so matching commits tag
                                      their rcache entries stream_ok(K)
   profile <file> [--config 1|2|3|ideal] [--slots N] [--no-spec] [--caches]
-                 [--top N] [--json]  per-block cycle attribution of an
+                 [--top N] [--json] [--max-steps N]
+                                     per-block cycle attribution of an
                                      accelerated run
   trace  <t.jsonl> [--stats]         validate a trace and print its summary
                                      (--stats adds per-kind record counts and,
@@ -99,7 +99,7 @@ commands:
                                      trace: lifecycle table, missed-speedup
                                      ranking, Chrome-trace timeline and
                                      collapsed-stack flamegraph exports
-  compare <file>                     cycles on scalar / 2-wide superscalar /
+  compare <file> [--max-steps N]     cycles on scalar / 2-wide superscalar /
                                      DIM configs #1..#3 side by side
   suite  [--scale tiny|small|full]   run + validate the MiBench-like suite
   sweep  <spec> [--jobs N] [--out <dir>] [--limit N] [--warm on|off]
@@ -386,6 +386,7 @@ fn report_halt(out: &mut impl Write, halt: HaltReason) -> Result<(), CliError> {
 }
 
 fn cmd_asm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
+    check_flags("asm", args, &["-o"], &[], 1)?;
     let input = args
         .first()
         .ok_or_else(|| CliError::new("asm: missing input file"))?;
@@ -408,6 +409,7 @@ fn cmd_asm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_disasm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
+    check_flags("disasm", args, &[], &[], 1)?;
     let input = args
         .first()
         .ok_or_else(|| CliError::new("disasm: missing input file"))?;
@@ -623,16 +625,8 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         }
         None => None,
     };
-    let mut guard = flight_capacity.map(|capacity| {
-        let mut g = FlightGuard::new(input, capacity, slots, system.stored_bits_per_config());
-        // A warm-started cache already holds configurations the stream
-        // never inserted; seed them so the watchdog doesn't cry wolf on
-        // the first legitimate hit.
-        for config in system.cache().iter() {
-            g.watchdog_mut().seed_resident(config.entry_pc);
-        }
-        g
-    });
+    let mut guard =
+        flight_capacity.map(|capacity| dim_sweep::flight_guard(input, capacity, &system));
 
     let halt = if metrics.is_some() || sink.is_some() || guard.is_some() || window.is_some() {
         let mut probe = (
@@ -859,6 +853,13 @@ fn cmd_sweep(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_profile(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
+    check_flags(
+        "profile",
+        args,
+        &["--config", "--slots", "--max-steps", "--top"],
+        &["--no-spec", "--caches", "--json"],
+        1,
+    )?;
     let input = args
         .first()
         .ok_or_else(|| CliError::new("profile: missing input file"))?;
@@ -1532,6 +1533,7 @@ fn cmd_explain(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
 fn cmd_suite(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use dim_workloads::{run_baseline, suite};
+    check_flags("suite", args, &["--scale"], &[], 0)?;
     let scale = parse_name_flag(args, "--scale")?.unwrap_or(Scale::Small);
     for spec in suite() {
         let built = (spec.build)(scale);
@@ -1560,6 +1562,7 @@ fn cmd_suite(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
 fn cmd_compare(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use dim_mips_sim::{SuperscalarConfig, SuperscalarModel};
+    check_flags("compare", args, &["--max-steps"], &[], 1)?;
     let input = args
         .first()
         .ok_or_else(|| CliError::new("compare: missing input file"))?;
@@ -2260,6 +2263,7 @@ fn cmd_submit(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_debug(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
+    check_flags("debug", args, &["--script"], &[], 1)?;
     let input = args
         .first()
         .ok_or_else(|| CliError::new("debug: missing input file"))?;
@@ -2305,6 +2309,7 @@ pub fn dispatch(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         Some("debug") => cmd_debug(&args[1..], out),
         Some("compare") => cmd_compare(&args[1..], out),
         Some("help") | None => {
+            check_flags("help", args.get(1..).unwrap_or_default(), &[], &[], 0)?;
             write!(out, "{USAGE}")?;
             Ok(())
         }
@@ -2926,6 +2931,53 @@ mod tests {
         assert!(err.to_string().contains("more than once"), "{err}");
         let err = run_cli(&["accel", path, "stray.s"]).unwrap_err();
         assert!(err.to_string().contains("unexpected argument"), "{err}");
+    }
+
+    #[test]
+    fn every_command_rejects_an_unknown_flag() {
+        let commands = [
+            "asm",
+            "disasm",
+            "run",
+            "accel",
+            "profile",
+            "trace",
+            "heat",
+            "explain",
+            "compare",
+            "suite",
+            "sweep",
+            "top",
+            "perf record",
+            "perf compare",
+            "perf gate",
+            "lint",
+            "verify",
+            "prove",
+            "serve",
+            "submit",
+            "spans",
+            "debug",
+            "help",
+        ];
+        // The list covers every command the usage text documents.
+        for line in USAGE.lines() {
+            if let Some(name) = line.strip_prefix("  ").and_then(|l| l.split(' ').next()) {
+                assert!(
+                    name.is_empty() || commands.iter().any(|c| c.split(' ').next() == Some(name)),
+                    "`{name}` is missing from the list"
+                );
+            }
+        }
+        for command in commands {
+            let mut args: Vec<&str> = command.split(' ').collect();
+            args.push("--bogus");
+            let err = run_cli(&args).expect_err(command);
+            assert!(
+                err.to_string().contains("unknown flag `--bogus`"),
+                "{command}: {err}"
+            );
+        }
     }
 
     #[test]

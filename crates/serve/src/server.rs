@@ -7,9 +7,10 @@
 //! Queueing is where backpressure lives — a full queue or an exhausted
 //! tenant quota earns an immediate [`Reply::Busy`] with a retry hint;
 //! the server never buffers without bound. The dispatcher drains the
-//! queue in waves and runs each wave on `dim_sweep::execute_jobs`, so
-//! request execution shares the sweep engine's pool, panic capture, and
-//! per-worker [`FlightGuard`] discipline. Workers send replies back
+//! queue in waves and runs each wave on `dim_sweep::execute_jobs`; each
+//! accel or explain request is one [`run_checked`] run, the same checked
+//! run as a sweep cell (warm start, flight recorder and watchdog, status
+//! pulse, halt and validate checks). Workers send replies back
 //! through per-request channels; the connection thread writes the reply
 //! batch in request order.
 //!
@@ -21,17 +22,15 @@ use crate::proto::{encode_reply_batch, Command, Reply, Request, MAX_FRAME_PAYLOA
 use crate::request::validate_request;
 use crate::shard::{shard_id, ShardManager};
 use dim_cgra::ShapeChoice;
-use dim_core::{System, SystemConfig};
-use dim_mips_sim::{HaltReason, Machine};
+use dim_core::SystemConfig;
 use dim_obs::frame::{read_frame, write_frame};
 use dim_obs::span::percentile_nanos;
-use dim_obs::status::{write_status, StatusEntry, StatusFile, StatusPulse, STATUS_FILE_NAME};
-use dim_obs::{
-    FlightGuard, MonotonicClock, ObjectWriter, Probe as _, SharedClock, SpanId, SpanSheet,
-    SPAN_FILE_NAME,
+use dim_obs::status::{StatusEntry, STATUS_FILE_NAME};
+use dim_obs::{MonotonicClock, ObjectWriter, SharedClock, SpanId, SpanSheet, SPAN_FILE_NAME};
+use dim_sweep::{
+    atomic_write, execute_jobs, run_checked, run_plain, FinishedRun, RunSpec, StatusBoard,
+    DEFAULT_FLIGHT_CAPACITY,
 };
-use dim_sweep::{atomic_write, capture_panics, execute_jobs, DEFAULT_FLIGHT_CAPACITY};
-use dim_workloads::validate;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;
@@ -42,8 +41,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// Status-pulse cadence when the request does not override it.
-const DEFAULT_PULSE_CYCLES: u64 = 250_000;
 /// Accept-loop poll interval while waiting for connections or drain.
 /// This bounds both connection-setup latency and shutdown reaction
 /// time, so it is deliberately short.
@@ -73,7 +70,8 @@ pub struct ServeOptions {
     pub out_dir: Option<PathBuf>,
     /// Flight-recorder window per worker (0 disables the black box).
     pub flight_capacity: usize,
-    /// Status/telemetry publish cadence in simulated cycles.
+    /// Status publish cadence in simulated cycles; 0 keeps the default
+    /// pulse cadence.
     pub telemetry_interval: u64,
     /// Wall-clock span capacity (0 disables span tracing). Spans dump
     /// to `out_dir/spans.dimspan` at drain.
@@ -91,7 +89,7 @@ impl ServeOptions {
             shard_dir: None,
             out_dir: None,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
-            telemetry_interval: DEFAULT_PULSE_CYCLES,
+            telemetry_interval: 0,
             span_capacity: DEFAULT_SPAN_CAPACITY,
         }
     }
@@ -162,46 +160,6 @@ struct Pending {
     stage_span: SpanId,
     /// Clock reading at enqueue, for end-to-end latency.
     enqueue_nanos: u64,
-}
-
-/// Entry 0 aggregates the server; entries `1..=jobs` track workers.
-struct StatusBoard {
-    path: Option<PathBuf>,
-    entries: Mutex<Vec<StatusEntry>>,
-}
-
-impl StatusBoard {
-    fn new(path: Option<PathBuf>, label: &str, jobs: usize) -> StatusBoard {
-        let mut entries = vec![StatusEntry {
-            source: "serve".into(),
-            label: label.to_string(),
-            state: "running".into(),
-            ..Default::default()
-        }];
-        for w in 0..jobs {
-            entries.push(StatusEntry {
-                source: format!("worker-{w}"),
-                state: "idle".into(),
-                ..Default::default()
-            });
-        }
-        StatusBoard {
-            path,
-            entries: Mutex::new(entries),
-        }
-    }
-
-    fn update(&self, f: impl FnOnce(&mut Vec<StatusEntry>)) {
-        let mut entries = self.entries.lock().expect("status board lock");
-        f(&mut entries);
-        if let Some(path) = &self.path {
-            let file = StatusFile {
-                entries: entries.clone(),
-            };
-            // Advisory host-side output: write errors are swallowed.
-            let _ = write_status(path, &file);
-        }
-    }
 }
 
 /// Fixed window of recent request latencies (microseconds) feeding the
@@ -477,23 +435,9 @@ fn system_config(request: &Request) -> SystemConfig {
     SystemConfig::new(shape.shape(), request.slots as usize, request.speculation)
 }
 
-fn flight_dump_suffix(state: &ServerState, guard: Option<&FlightGuard>, seq: u64) -> String {
-    let (Some(out_dir), Some(guard)) = (&state.opts.out_dir, guard) else {
-        return String::new();
-    };
-    let dump = guard
-        .trip_dump()
-        .map_or_else(|| guard.dump(), str::to_string);
-    let path = out_dir.join("flight").join(format!("req-{seq}.jsonl"));
-    match atomic_write(&path, dump.as_bytes()) {
-        Ok(()) => format!("; flight dump: {}", path.display()),
-        Err(e) => format!("; flight dump write failed: {e}"),
-    }
-}
-
 /// Executes one queued request on worker `worker`; returns the reply.
-/// `exec_span` (open for the duration of this call) parents the
-/// per-phase child spans recorded here.
+/// `exec_span` (open for the duration of this call) parents the run's
+/// stage spans and `shard_admit`.
 fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: SpanId) -> Reply {
     let request = &pending.request;
     let fail = |message: String| Reply::Error { message };
@@ -506,28 +450,13 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
     } else {
         built.max_steps
     };
-    let label = format!("req-{}__{}", pending.seq, request.workload);
+    let spans = state.spans.as_ref().map(|sheet| (sheet, exec_span));
 
     if request.command == Command::Run {
-        let mut machine = Machine::load(&built.program);
-        let sim_guard = state.span_guard("simulate", exec_span);
-        let halt = match capture_panics(|| machine.run(max_steps)) {
-            Ok(halt) => halt,
-            Err(panic_msg) => return fail(format!("worker panic: {panic_msg}")),
+        let machine = match run_plain(&built, max_steps, spans) {
+            Ok(machine) => machine,
+            Err(message) => return fail(message),
         };
-        match halt {
-            Ok(HaltReason::Exit(_)) => {}
-            Ok(HaltReason::StepLimit) => {
-                return fail(format!("did not halt within {max_steps} instructions"))
-            }
-            Err(e) => return fail(format!("simulation failed: {e}")),
-        }
-        drop(sim_guard);
-        let validate_guard = state.span_guard("validate", exec_span);
-        if let Err(e) = validate(&machine, &built) {
-            return fail(format!("validation failed: {e}"));
-        }
-        drop(validate_guard);
         let mut o = ObjectWriter::new();
         o.field_str("command", "run")
             .field_str("workload", &request.workload)
@@ -537,125 +466,48 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
         return Reply::Ok { json: o.finish() };
     }
 
-    let config = system_config(request);
-    let mut system = System::new(Machine::load(&built.program), config);
-    if state.spans.is_some() {
-        // Attribute engine host time on the same timebase as the spans.
-        system.enable_host_split(Arc::clone(&state.clock));
-    }
-
     // Warm-start from the shared shard. The shard image already passed
     // the trust boundary at admission, and `load_rcache` re-verifies —
     // defense in depth around shared state.
+    let config = system_config(request);
     let id = shard_id(
         &request.workload,
         request.shape,
         request.slots,
         request.speculation,
     );
-    let warm_guard = state.span_guard("warm_start", exec_span);
-    let mut warm_loaded = false;
-    if request.shared_shard {
-        if let Some(bytes) = state.shards.warm_bytes(&id) {
-            match system.load_rcache(&bytes) {
-                Ok(()) => warm_loaded = true,
-                Err(e) => return fail(format!("shared shard rejected at load: {e}")),
-            }
-        }
-    }
-    drop(warm_guard);
-
-    let mut guard = (state.opts.flight_capacity > 0).then(|| {
-        let mut g = FlightGuard::new(
-            &label,
-            state.opts.flight_capacity,
-            request.slots as usize,
-            system.stored_bits_per_config(),
-        );
-        for config in system.cache().iter() {
-            g.watchdog_mut().seed_resident(config.entry_pc);
-        }
-        g
+    let warm = if request.shared_shard {
+        state.shards.warm_bytes(&id)
+    } else {
+        None
+    };
+    let label = format!("req-{}__{}", pending.seq, request.workload);
+    let run = run_checked(&RunSpec {
+        label: &label,
+        built: &built,
+        config,
+        max_steps,
+        warm: warm.as_deref(),
+        flight_capacity: state.opts.flight_capacity,
+        explain: request.command == Command::Explain,
+        pulse_interval: state.opts.telemetry_interval,
+        clock: &state.clock,
+        board: (&state.board, worker),
+        spans,
     });
-    let mut sink = (request.command == Command::Explain)
-        .then(|| dim_obs::JsonlSink::new(Vec::new(), &label, system.stored_bits_per_config()));
-    let mut pulse = {
-        let entry = StatusEntry {
-            source: format!("worker-{worker}"),
-            label: label.clone(),
-            state: "running".into(),
-            total: 1,
-            ..Default::default()
-        };
-        let interval = state.opts.telemetry_interval.max(1);
-        let board = &state.board;
-        StatusPulse::with_clock(
-            entry,
-            interval,
-            Arc::clone(&state.clock),
-            move |e: &StatusEntry| {
-                board.update(|entries| entries[worker + 1] = e.clone());
-            },
-        )
-    };
-
-    let sim_guard = state.span_guard("simulate", exec_span);
-    let run_result = {
-        let mut probe = (sink.as_mut(), (guard.as_mut(), &mut pulse));
-        capture_panics(|| {
-            let halt = system.run_probed(max_steps, &mut probe);
-            probe.finish();
-            halt
-        })
-    };
-    drop(sim_guard);
-    // The host-split estimate covers the simulate phase; attach it to
-    // the exec span whether or not the checks below pass, so failed
-    // requests still explain where their time went.
-    if let (Some(sheet), Some(split)) = (&state.spans, system.host_split()) {
-        sheet.attr(exec_span, split);
-    }
-    let fail_dump = |reason: String, guard: Option<&FlightGuard>| Reply::Error {
-        message: format!("{reason}{}", flight_dump_suffix(state, guard, pending.seq)),
-    };
-    let halt = match run_result {
-        Ok(halt) => halt,
-        Err(panic_msg) => return fail_dump(format!("worker panic: {panic_msg}"), guard.as_ref()),
-    };
-    match halt {
-        Ok(HaltReason::Exit(_)) => {}
-        Ok(HaltReason::StepLimit) => {
-            return fail_dump(
-                format!("did not halt within {max_steps} instructions"),
-                guard.as_ref(),
-            )
+    let FinishedRun {
+        mut system,
+        explanation,
+    } = match run {
+        Ok(run) => run,
+        Err(failure) => {
+            let dump = state.opts.out_dir.as_ref().map(|dir| {
+                dir.join("flight")
+                    .join(format!("req-{}.jsonl", pending.seq))
+            });
+            return fail(failure.dump_to(dump.as_deref()));
         }
-        Err(e) => return fail_dump(format!("simulation failed: {e}"), guard.as_ref()),
-    }
-    if let Some(violation) = guard.as_ref().and_then(FlightGuard::violation) {
-        return fail_dump(format!("watchdog tripped: {violation}"), guard.as_ref());
-    }
-    let validate_guard = state.span_guard("validate", exec_span);
-    if let Err(e) = validate(system.machine(), &built) {
-        return fail_dump(format!("validation failed: {e}"), guard.as_ref());
-    }
-    drop(validate_guard);
-
-    let mut explain_json = None;
-    if let Some(sink) = sink.take() {
-        let (buf, io_error) = sink.into_inner();
-        if let Some(e) = io_error {
-            return fail(format!("trace capture failed: {e}"));
-        }
-        let text = match String::from_utf8(buf) {
-            Ok(text) => text,
-            Err(e) => return fail(format!("trace capture failed: {e}")),
-        };
-        match dim_explain::explain_text(&text) {
-            Ok(ex) => explain_json = Some(ex.to_json()),
-            Err(e) => return fail(format!("explain failed: {e}")),
-        }
-    }
+    };
 
     // Offer the warmed cache back to the shard. Self-produced snapshots
     // re-cross the trust boundary like everyone else's.
@@ -693,7 +545,7 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
         .field_u64("slots", u64::from(request.slots))
         .field_bool("speculation", request.speculation)
         .field_bool("shared_shard", request.shared_shard)
-        .field_bool("warm_loaded", warm_loaded)
+        .field_bool("warm_loaded", warm.is_some())
         .field_u64("retired", system.total_instructions())
         .field_u64("accel_cycles", system.total_cycles())
         .field_u64("invocations", stats.array_invocations)
@@ -701,8 +553,8 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
     if let Some(shard) = shard_json {
         o.field_raw("shard", &shard);
     }
-    if let Some(explain) = explain_json {
-        o.field_raw("explain", &explain);
+    if let Some(ex) = explanation {
+        o.field_raw("explain", &ex.to_json());
     }
     o.field_str("report", &system.report().to_string());
     Reply::Ok { json: o.finish() }
@@ -883,7 +735,16 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
         batches_in_flight: AtomicI64::new(0),
         tenants: Mutex::new(BTreeMap::new()),
         shards: ShardManager::new(),
-        board: StatusBoard::new(status_path, &label, opts.jobs),
+        board: StatusBoard::new(
+            status_path,
+            StatusEntry {
+                source: "serve".into(),
+                label,
+                state: "running".into(),
+                ..Default::default()
+            },
+            opts.jobs,
+        ),
         submitted: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         failed: AtomicU64::new(0),

@@ -363,13 +363,13 @@ fn every_request_yields_one_complete_span_tree() {
         );
 
         // Accel requests carry engine host-time attribution on the
-        // exec span, split across all four buckets.
+        // simulate span, split across all four buckets.
         let exec = stage_of("exec").unwrap();
-        if forest.children[exec]
+        if let Some(&simulate) = forest.children[exec]
             .iter()
-            .any(|&c| forest.spans[c].stage == "simulate")
+            .find(|&&c| forest.spans[c].stage == "simulate")
         {
-            if let Some(attr) = file.attr_for(forest.spans[exec].id) {
+            if let Some(attr) = file.attr_for(forest.spans[simulate].id) {
                 assert_eq!(attr.buckets.len(), 4, "{attr:?}");
                 assert!(attr.buckets.iter().all(|b| b.sampled > 0), "{attr:?}");
             }
@@ -421,4 +421,52 @@ fn run_and_explain_commands_work_end_to_end() {
             Some("req-1__bitcount")
         );
     });
+}
+
+#[test]
+fn a_sweep_cell_and_a_served_request_give_one_result() {
+    let dir = TempDir::new("one-path");
+    let spec = dim_sweep::SweepSpec::parse(
+        "workloads = crc32\nscale = tiny\nshapes = 2\nslots = 64\nspeculation = on\n",
+    )
+    .expect("spec parses");
+    let cells = spec.expand();
+    assert_eq!(cells.len(), 1);
+    let sweep_dir = dir.path().join("sweep");
+    dim_sweep::run_sweep(&spec, &dim_sweep::SweepOptions::new(sweep_dir.clone()))
+        .expect("sweep runs");
+    let cell_path = sweep_dir
+        .join("cells")
+        .join(format!("{}.json", cells[0].id));
+    let cell = parse_json(&std::fs::read_to_string(cell_path).expect("cell file")).unwrap();
+
+    let opts = ServeOptions::new(dir.path().join("dim.sock"));
+    let (reply, _summary) = with_server(opts, |socket| {
+        let replies = submit(socket, &[accel_request("crc32", false)]).expect("submit");
+        ok_json(&replies[0])
+    });
+
+    let num = |v: &dim_obs::JsonValue, path: &[&str]| {
+        path.iter()
+            .try_fold(v, |v, key| v.get(key))
+            .and_then(dim_obs::JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("missing {path:?}"))
+    };
+    assert_eq!(
+        num(&cell, &["accel_cycles"]),
+        num(&reply, &["accel_cycles"])
+    );
+    assert_eq!(
+        num(&cell, &["dim", "array_invocations"]),
+        num(&reply, &["invocations"])
+    );
+    assert_eq!(
+        num(&cell, &["cache", "hits"]),
+        num(&reply, &["rcache", "hits"])
+    );
+    assert_eq!(
+        num(&cell, &["cache", "misses"]),
+        num(&reply, &["rcache", "misses"])
+    );
+    assert!(num(&reply, &["invocations"]) > 0);
 }

@@ -12,18 +12,13 @@
 
 use crate::fsio::atomic_write;
 use crate::journal::{cell_is_done, Journal};
-use crate::panichook::capture_panics;
 use crate::pool::{execute_jobs, PoolStats};
-use crate::spec::{CellSpec, SweepSpec};
+use crate::run::{run_checked, FinishedRun, RunSpec, StatusBoard};
+use crate::spec::{policy_key, CellSpec, SweepSpec};
 use dim_core::fnv1a64;
-use dim_core::System;
-use dim_mips_sim::{HaltReason, Machine};
-use dim_obs::status::{write_status, StatusEntry, StatusFile, StatusPulse, STATUS_FILE_NAME};
-use dim_obs::{
-    FlightGuard, MonotonicClock, ObjectWriter, Probe as _, SharedClock, SpanId, SpanSheet,
-    SPAN_FILE_NAME,
-};
-use dim_workloads::{run_baseline, validate};
+use dim_obs::status::{StatusEntry, STATUS_FILE_NAME};
+use dim_obs::{MonotonicClock, ObjectWriter, SharedClock, SpanId, SpanSheet, SPAN_FILE_NAME};
+use dim_workloads::run_baseline;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -87,17 +82,13 @@ pub struct SweepOptions {
     /// to `flight/<id>.jsonl`. 0 disables both. Probes are
     /// cycle-neutral, so cell results are byte-identical either way.
     pub flight_capacity: usize,
-    /// Live-status publish interval in simulated cycles (also the
-    /// `--explain` trace's telemetry interval). 0 keeps the default
-    /// pulse cadence.
+    /// Live-status publish interval in simulated cycles. 0 keeps the
+    /// default pulse cadence.
     pub telemetry_interval: u64,
 }
 
 /// Default flight-recorder window per worker (events).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
-
-/// Default live-status publish cadence (simulated cycles).
-const DEFAULT_PULSE_CYCLES: u64 = 250_000;
 
 impl SweepOptions {
     /// Serial execution into `out_dir` with spec-default warm behaviour
@@ -134,20 +125,6 @@ pub struct SweepOutcome {
     pub pool: PoolStats,
 }
 
-struct CellRun {
-    json: String,
-    warm_loaded: bool,
-    /// Counters for the live status board (host-side only).
-    retired: u64,
-    sim_cycles: u64,
-    invocations: u64,
-    rcache_hits: u64,
-    rcache_misses: u64,
-    misspeculations: u64,
-    fabric_busy_thirds: u64,
-    fabric_capacity_thirds: u64,
-}
-
 fn cell_result_path(out_dir: &Path, id: &str) -> PathBuf {
     out_dir.join("cells").join(format!("{id}.json"))
 }
@@ -168,228 +145,58 @@ fn cell_heat_path(out_dir: &Path, id: &str) -> PathBuf {
     out_dir.join("heat").join(format!("{id}.json"))
 }
 
-/// The shared live-status board for one sweep invocation: entry 0
-/// aggregates the whole sweep, entries `1..=threads` track workers.
-/// Every mutation atomically republishes `status.dimstat`; write errors
-/// are swallowed because status is advisory host-side output.
-struct StatusBoard {
-    path: PathBuf,
-    entries: Mutex<Vec<StatusEntry>>,
-}
-
-impl StatusBoard {
-    fn new(path: PathBuf, threads: usize, total_cells: u64, skipped: u64) -> StatusBoard {
-        let mut entries = vec![StatusEntry {
-            source: "sweep".into(),
-            label: format!("{total_cells} cells"),
-            state: "running".into(),
-            done: skipped,
-            total: total_cells,
-            ..Default::default()
-        }];
-        for w in 0..threads {
-            entries.push(StatusEntry {
-                source: format!("worker-{w}"),
-                state: "idle".into(),
-                ..Default::default()
-            });
-        }
-        StatusBoard {
-            path,
-            entries: Mutex::new(entries),
-        }
-    }
-
-    fn update(&self, f: impl FnOnce(&mut Vec<StatusEntry>)) {
-        let mut entries = self.entries.lock().expect("status board lock");
-        f(&mut entries);
-        let file = StatusFile {
-            entries: entries.clone(),
-        };
-        // Serialized under the lock so concurrent workers never
-        // interleave temp-file writes.
-        let _ = write_status(&self.path, &file);
-    }
-}
-
-/// Everything a cell run needs beyond the cell itself.
+/// What every cell of one invocation shares.
 struct CellCtx<'a> {
+    opts: &'a SweepOptions,
     warm: bool,
-    explain: bool,
-    flight_capacity: usize,
-    telemetry_interval: u64,
-    out_dir: &'a Path,
-    /// Live-status board and the index of the worker running this cell.
-    status: Option<(&'a StatusBoard, usize)>,
-    /// Span sheet and this cell's root span, when span tracing is on.
-    /// Spans are host-side wall-clock material — like the status board
-    /// they never influence the deterministic cell result.
-    spans: Option<(&'a SpanSheet, SpanId)>,
+    clock: &'a SharedClock,
+    board: &'a StatusBoard,
+    /// Wall-clock spans: host-side material that, like the status
+    /// board, never influences the deterministic cell result.
+    spans: &'a SpanSheet,
 }
 
-/// On failure, preserves the black box: writes the flight window (the
-/// trip-time dump if the watchdog fired, else the window as of now) to
-/// `flight/<id>.jsonl` and appends its path to the failure reason.
-fn with_flight_dump(
-    reason: String,
-    guard: Option<&FlightGuard>,
-    out_dir: &Path,
-    id: &str,
-) -> String {
-    let Some(guard) = guard else {
-        return reason;
-    };
-    let dump = guard
-        .trip_dump()
-        .map_or_else(|| guard.dump(), str::to_string);
-    let path = cell_flight_path(out_dir, id);
-    match atomic_write(&path, dump.as_bytes()) {
-        Ok(()) => format!("{reason}; flight dump: {}", path.display()),
-        Err(e) => format!("{reason}; flight dump write failed: {e}"),
-    }
-}
-
-/// Simulates one cell and renders its deterministic result JSON.
-fn run_cell(cell: &CellSpec, baseline_cycles: u64, ctx: &CellCtx<'_>) -> Result<CellRun, String> {
+/// Runs one cell on `worker` under the span `root` and writes its
+/// snapshot, `heat/` and `explain/` files; returns its deterministic
+/// result JSON. A failed run's flight window goes to
+/// `flight/<id>.jsonl`.
+fn run_cell(
+    cell: &CellSpec,
+    baseline_cycles: u64,
+    ctx: &CellCtx<'_>,
+    worker: usize,
+    root: SpanId,
+) -> Result<String, String> {
     let spec = dim_workloads::by_name(&cell.workload)
         .ok_or_else(|| format!("unknown workload `{}`", cell.workload))?;
     let built = (spec.build)(cell.scale);
-    let mut system = System::new(Machine::load(&built.program), cell.system_config());
-    let out_dir = ctx.out_dir;
-    let span = |stage: &'static str| ctx.spans.map(|(sheet, root)| sheet.guard(stage, root));
-    if let Some((sheet, _)) = ctx.spans {
-        system.enable_host_split(Arc::clone(sheet.clock()));
-    }
-
-    let mut warm_loaded = false;
-    if ctx.warm {
-        let warm_span = span("warm_load");
-        let snapshot_path = cell_snapshot_path(out_dir, &cell.id);
-        if let Ok(bytes) = std::fs::read(&snapshot_path) {
-            match system.load_rcache(&bytes) {
-                Ok(()) => warm_loaded = true,
-                Err(e) => return Err(format!("stale rcache snapshot rejected: {e}")),
-            }
-        }
-        drop(warm_span);
-    }
-
-    // The always-on black box: flight recorder + invariant watchdog.
-    // Warm-start entries were inserted before probing began, so they
-    // are seeded as resident or the hit-without-insert law would
-    // false-positive.
-    let mut guard = (ctx.flight_capacity > 0).then(|| {
-        let mut g = FlightGuard::new(
-            &cell.id,
-            ctx.flight_capacity,
-            cell.slots,
-            system.stored_bits_per_config(),
-        );
-        for config in system.cache().iter() {
-            g.watchdog_mut().seed_resident(config.entry_pc);
-        }
-        g
-    });
-
-    // `--explain` runs through the probe sink; the probes are
-    // cycle-neutral, so the deterministic cell result is identical
-    // either way — only the side-channel trace differs.
-    let mut sink = ctx.explain.then(|| {
-        let mut s = dim_obs::JsonlSink::new(Vec::new(), &cell.id, system.stored_bits_per_config());
-        if ctx.telemetry_interval > 0 {
-            s.set_telemetry_interval(ctx.telemetry_interval);
-        }
-        s
-    });
-
-    // Live per-worker progress for `dim top`, published mid-cell.
-    let mut pulse = ctx.status.map(|(board, worker)| {
-        let entry = StatusEntry {
-            source: format!("worker-{worker}"),
-            label: cell.id.clone(),
-            state: "running".into(),
-            total: 1,
-            ..Default::default()
-        };
-        let interval = if ctx.telemetry_interval > 0 {
-            ctx.telemetry_interval
-        } else {
-            DEFAULT_PULSE_CYCLES
-        };
-        StatusPulse::new(entry, interval, move |e: &StatusEntry| {
-            board.update(|entries| entries[worker + 1] = e.clone());
-        })
-    });
-
-    let use_probes = guard.is_some() || sink.is_some() || pulse.is_some();
-    let exec_span = ctx
-        .spans
-        .map_or(SpanId::NONE, |(sheet, root)| sheet.begin("execute", root));
-    let run_result = if use_probes {
-        let mut probe = (sink.as_mut(), (guard.as_mut(), pulse.as_mut()));
-        capture_panics(|| {
-            let halt = system.run_probed(built.max_steps, &mut probe);
-            probe.finish();
-            halt
-        })
+    let out_dir = &ctx.opts.out_dir;
+    let snapshot_path = cell_snapshot_path(out_dir, &cell.id);
+    let warm = if ctx.warm {
+        std::fs::read(&snapshot_path).ok()
     } else {
-        capture_panics(|| system.run(built.max_steps))
+        None
     };
-    if let Some((sheet, _)) = ctx.spans {
-        // Host-time attribution goes on the execute span even when a
-        // later check fails, so failed cells still carry a breakdown.
-        if let Some(split) = system.host_split() {
-            sheet.attr(exec_span, split);
-        }
-        sheet.end(exec_span);
-    }
+    let FinishedRun {
+        mut system,
+        explanation,
+    } = run_checked(&RunSpec {
+        label: &cell.id,
+        built: &built,
+        config: cell.system_config(),
+        max_steps: built.max_steps,
+        warm: warm.as_deref(),
+        flight_capacity: ctx.opts.flight_capacity,
+        explain: ctx.opts.explain,
+        pulse_interval: ctx.opts.telemetry_interval,
+        clock: ctx.clock,
+        board: (ctx.board, worker),
+        spans: Some((ctx.spans, root)),
+    })
+    .map_err(|failure| failure.dump_to(Some(&cell_flight_path(out_dir, &cell.id))))?;
 
-    let fail = |reason: String, guard: Option<&FlightGuard>| {
-        with_flight_dump(reason, guard, out_dir, &cell.id)
-    };
-
-    let halt = match run_result {
-        Ok(halt) => halt,
-        Err(panic_msg) => {
-            return Err(fail(format!("worker panic: {panic_msg}"), guard.as_ref()));
-        }
-    };
-    match halt {
-        Ok(HaltReason::Exit(_)) => {}
-        Ok(HaltReason::StepLimit) => {
-            return Err(fail(
-                format!("did not halt within {} instructions", built.max_steps),
-                guard.as_ref(),
-            ))
-        }
-        Err(e) => return Err(fail(format!("simulation failed: {e}"), guard.as_ref())),
-    }
-    if let Some(violation) = guard.as_ref().and_then(FlightGuard::violation) {
-        return Err(fail(
-            format!("watchdog tripped: {violation}"),
-            guard.as_ref(),
-        ));
-    }
-    {
-        let validate_span = span("validate");
-        if let Err(e) = validate(system.machine(), &built) {
-            return Err(fail(format!("validation failed: {e}"), guard.as_ref()));
-        }
-        drop(validate_span);
-    }
-
-    let mut trace_text = None;
-    if let Some(sink) = sink.take() {
-        let (buf, io_error) = sink.into_inner();
-        if let Some(e) = io_error {
-            return Err(format!("trace capture failed: {e}"));
-        }
-        trace_text = Some(String::from_utf8(buf).map_err(|e| e.to_string())?);
-    }
-
-    let persist_span = span("persist");
-    if let Some(text) = trace_text {
-        let ex = dim_explain::explain_text(&text).map_err(|e| format!("explain failed: {e}"))?;
+    let persist_span = ctx.spans.guard("persist", root);
+    if let Some(ex) = explanation {
         let mut json = ex.to_json();
         json.push('\n');
         atomic_write(&cell_explain_path(out_dir, &cell.id), json.as_bytes())
@@ -398,8 +205,7 @@ fn run_cell(cell: &CellSpec, baseline_cycles: u64, ctx: &CellCtx<'_>) -> Result<
 
     if ctx.warm {
         let bytes = system.save_rcache();
-        atomic_write(&cell_snapshot_path(out_dir, &cell.id), &bytes)
-            .map_err(|e| format!("snapshot write failed: {e}"))?;
+        atomic_write(&snapshot_path, &bytes).map_err(|e| format!("snapshot write failed: {e}"))?;
     }
 
     // Per-cell fabric heat summary for `heat/<id>.json`. Derived from
@@ -415,7 +221,6 @@ fn run_cell(cell: &CellSpec, baseline_cycles: u64, ctx: &CellCtx<'_>) -> Result<
     let accel_cycles = system.total_cycles();
     let stats = system.stats();
     let (hits, misses) = system.cache().hit_miss();
-
     let mut dim = ObjectWriter::new();
     dim.field_u64("array_invocations", stats.array_invocations)
         .field_u64("array_instructions", stats.array_instructions)
@@ -450,14 +255,8 @@ fn run_cell(cell: &CellSpec, baseline_cycles: u64, ctx: &CellCtx<'_>) -> Result<
         .field_bool("speculation", cell.speculation)
         .field_u64("max_spec_blocks", cell.max_spec_blocks as u64)
         .field_u64("flush_threshold", cell.flush_threshold as u64)
-        .field_str(
-            "policy",
-            match cell.policy {
-                dim_core::ReplacementPolicy::Fifo => "fifo",
-                dim_core::ReplacementPolicy::Lru => "lru",
-            },
-        )
-        .field_bool("warm_loaded", warm_loaded)
+        .field_str("policy", policy_key(cell.policy))
+        .field_bool("warm_loaded", warm.is_some())
         .field_u64("baseline_cycles", baseline_cycles)
         .field_u64("accel_cycles", accel_cycles)
         .field_f64("speedup", speedup)
@@ -465,18 +264,7 @@ fn run_cell(cell: &CellSpec, baseline_cycles: u64, ctx: &CellCtx<'_>) -> Result<
         .field_raw("cache", &cache.finish());
     let mut json = w.finish();
     json.push('\n');
-    Ok(CellRun {
-        json,
-        warm_loaded,
-        retired: system.machine().stats.instructions,
-        sim_cycles: accel_cycles,
-        invocations: stats.array_invocations,
-        rcache_hits: hits,
-        rcache_misses: misses,
-        misspeculations: stats.misspeculations,
-        fabric_busy_thirds: system.fabric_heat().total_busy_thirds(),
-        fabric_capacity_thirds: system.fabric_heat().total_capacity_thirds(),
-    })
+    Ok(json)
 }
 
 /// Runs (or resumes) a sweep.
@@ -488,7 +276,6 @@ fn run_cell(cell: &CellSpec, baseline_cycles: u64, ctx: &CellCtx<'_>) -> Result<
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, SweepError> {
     let cells = spec.expand();
     let warm = opts.warm_rcache.unwrap_or(spec.warm_rcache);
-    let explain = opts.explain;
     let out_dir = &opts.out_dir;
     std::fs::create_dir_all(out_dir)?;
 
@@ -525,17 +312,30 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     let cell_wall: Mutex<Vec<(String, u64)>> = Mutex::new(Vec::new());
     let threads = opts.jobs.max(1);
     let board = StatusBoard::new(
-        out_dir.join(STATUS_FILE_NAME),
+        Some(out_dir.join(STATUS_FILE_NAME)),
+        StatusEntry {
+            source: "sweep".into(),
+            label: format!("{} cells", cells.len()),
+            state: "running".into(),
+            done: skipped as u64,
+            total: cells.len() as u64,
+            ..Default::default()
+        },
         threads,
-        cells.len() as u64,
-        skipped as u64,
     );
     board.update(|_| {});
     // Wall-clock span tracing: one root per cell (tenant = workload,
-    // seq = grid index) with warm_load / execute / validate / persist
+    // seq = grid index) with warm_start / simulate / validate / persist
     // children. Sized so a full run never drops: 5 spans per cell.
     let clock: SharedClock = MonotonicClock::shared();
     let spans = SpanSheet::new(Arc::clone(&clock), pending.len() * 5 + 8);
+    let ctx = CellCtx {
+        opts,
+        warm,
+        clock: &clock,
+        board: &board,
+        spans: &spans,
+    };
     let start_nanos = clock.now_nanos();
     let jobs: Vec<_> = pending
         .iter()
@@ -544,25 +344,16 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
             let baseline = baselines[cell.workload.as_str()];
             let journal = &journal;
             let cell_wall = &cell_wall;
-            let board = &board;
-            let clock = &clock;
-            let spans = &spans;
+            let ctx = &ctx;
             move |w: usize| -> Result<(), SweepError> {
-                let cell_started = clock.now_nanos();
-                let root = spans.begin_root("cell", &cell.workload, cell.index as u64);
-                let ctx = CellCtx {
-                    warm,
-                    explain,
-                    flight_capacity: opts.flight_capacity,
-                    telemetry_interval: opts.telemetry_interval,
-                    out_dir,
-                    status: Some((board, w)),
-                    spans: Some((spans, root)),
-                };
-                let result = run_cell(&cell, baseline, &ctx);
-                spans.end(root);
-                let run = result.map_err(|reason| {
-                    board.update(|entries| {
+                let cell_started = ctx.clock.now_nanos();
+                let root = ctx
+                    .spans
+                    .begin_root("cell", &cell.workload, cell.index as u64);
+                let result = run_cell(&cell, baseline, ctx, w, root);
+                ctx.spans.end(root);
+                let json = result.map_err(|reason| {
+                    ctx.board.update(|entries| {
                         entries[w + 1].state = "failed".into();
                         entries[w + 1].label = cell.id.clone();
                     });
@@ -572,36 +363,27 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
                     }
                 })?;
                 let path = cell_result_path(out_dir, &cell.id);
-                atomic_write(&path, run.json.as_bytes())?;
-                journal.record(&cell.id, fnv1a64(run.json.as_bytes()))?;
-                let _ = run.warm_loaded;
-                let cell_nanos = clock.now_nanos().saturating_sub(cell_started);
-                board.update(|entries| {
-                    let worker = &mut entries[w + 1];
+                atomic_write(&path, json.as_bytes())?;
+                journal.record(&cell.id, fnv1a64(json.as_bytes()))?;
+                let cell_nanos = ctx.clock.now_nanos().saturating_sub(cell_started);
+                // The run's status pulse left the cell's final counters
+                // in this worker's entry; fold them into the aggregate.
+                ctx.board.update(|entries| {
+                    let (agg, workers) = entries.split_first_mut().expect("aggregate entry");
+                    let worker = &mut workers[w];
                     worker.state = "idle".into();
-                    worker.label = cell.id.clone();
                     worker.done = 1;
-                    worker.total = 1;
-                    worker.retired = run.retired;
-                    worker.sim_cycles = run.sim_cycles;
-                    worker.invocations = run.invocations;
-                    worker.rcache_hits = run.rcache_hits;
-                    worker.rcache_misses = run.rcache_misses;
-                    worker.misspeculations = run.misspeculations;
-                    worker.fabric_busy_thirds = run.fabric_busy_thirds;
-                    worker.fabric_capacity_thirds = run.fabric_capacity_thirds;
                     worker.host_nanos = cell_nanos;
-                    let agg = &mut entries[0];
                     agg.done += 1;
-                    agg.retired += run.retired;
-                    agg.sim_cycles += run.sim_cycles;
-                    agg.invocations += run.invocations;
-                    agg.rcache_hits += run.rcache_hits;
-                    agg.rcache_misses += run.rcache_misses;
-                    agg.misspeculations += run.misspeculations;
-                    agg.fabric_busy_thirds += run.fabric_busy_thirds;
-                    agg.fabric_capacity_thirds += run.fabric_capacity_thirds;
-                    agg.host_nanos = clock.now_nanos().saturating_sub(start_nanos);
+                    agg.retired += worker.retired;
+                    agg.sim_cycles += worker.sim_cycles;
+                    agg.invocations += worker.invocations;
+                    agg.rcache_hits += worker.rcache_hits;
+                    agg.rcache_misses += worker.rcache_misses;
+                    agg.misspeculations += worker.misspeculations;
+                    agg.fabric_busy_thirds += worker.fabric_busy_thirds;
+                    agg.fabric_capacity_thirds += worker.fabric_capacity_thirds;
+                    agg.host_nanos = ctx.clock.now_nanos().saturating_sub(start_nanos);
                 });
                 cell_wall
                     .lock()

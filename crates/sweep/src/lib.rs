@@ -14,6 +14,11 @@
 //! snapshot (see [`dim_core::SNAPSHOT_MAGIC`]) so later sweeps over the
 //! same grid skip the translation warm-up.
 //!
+//! Every cell is one [`run_checked`] run: warm start, simulation under
+//! the flight recorder, watchdog and status pulse, then the halt,
+//! watchdog and validation checks. `dim serve` runs its requests
+//! through the same function.
+//!
 //! ```
 //! use dim_sweep::{SweepSpec, SweepOptions, run_sweep};
 //! let spec = SweepSpec::parse("
@@ -37,6 +42,7 @@ mod fsio;
 mod journal;
 mod panichook;
 mod pool;
+mod run;
 mod spec;
 
 pub use engine::{
@@ -45,6 +51,9 @@ pub use engine::{
 };
 pub use fsio::atomic_write;
 pub use journal::Journal;
-pub use panichook::capture_panics;
 pub use pool::{execute_jobs, PoolStats};
+pub use run::{
+    flight_guard, run_checked, run_plain, FinishedRun, RunFailure, RunSpec, StatusBoard,
+    DEFAULT_PULSE_CYCLES,
+};
 pub use spec::{CellSpec, SpecError, SweepSpec};

@@ -94,7 +94,7 @@ impl CellSpec {
     }
 }
 
-fn policy_key(policy: ReplacementPolicy) -> &'static str {
+pub(crate) fn policy_key(policy: ReplacementPolicy) -> &'static str {
     match policy {
         ReplacementPolicy::Fifo => "fifo",
         ReplacementPolicy::Lru => "lru",

@@ -84,7 +84,7 @@ fn parallel_results_byte_identical_to_serial() {
     }
 
     // Both runs dump a wall-clock span file: one well-formed root per
-    // cell with an execute child carrying host-time attribution. The
+    // cell with a simulate child carrying host-time attribution. The
     // timings differ run to run — spans sit outside the determinism
     // contract — but the tree shape is fixed.
     for dir in [&serial_dir, &parallel_dir] {
@@ -95,14 +95,14 @@ fn parallel_results_byte_identical_to_serial() {
         assert_eq!(forest.check_laws(), Vec::<String>::new());
         for &root in &forest.roots {
             assert_eq!(forest.spans[root].stage, "cell");
-            let exec = forest.children[root]
+            let simulate = forest.children[root]
                 .iter()
                 .copied()
-                .find(|&c| forest.spans[c].stage == "execute")
-                .expect("every cell has an execute span");
+                .find(|&c| forest.spans[c].stage == "simulate")
+                .expect("every cell has a simulate span");
             let attr = file
-                .attr_for(forest.spans[exec].id)
-                .expect("execute span carries host-time attribution");
+                .attr_for(forest.spans[simulate].id)
+                .expect("simulate span carries host-time attribution");
             assert!(attr.buckets.iter().any(|b| b.count > 0));
         }
     }
