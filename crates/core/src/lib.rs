@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod gshare;
+mod pctable;
 mod predictor;
 mod rcache;
 mod report;

@@ -6,7 +6,7 @@
 //! configuration is flushed when the counter reaches the opposite
 //! saturation point.
 
-use std::collections::HashMap;
+use crate::pctable::PcTable;
 
 /// A 2-bit saturating counter state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -71,9 +71,13 @@ impl Counter {
 ///
 /// Counters start at [`Counter::WeakNotTaken`], so a branch must go the
 /// same way at least twice before the translator speculates across it.
+/// They live in a dense table with one slot per instruction word; a
+/// branch never updated has no slot, which keeps it out of
+/// [`entries`](BimodalPredictor::entries) even though it reads as the
+/// starting counter.
 #[derive(Debug, Clone, Default)]
 pub struct BimodalPredictor {
-    counters: HashMap<u32, Counter>,
+    counters: PcTable<Counter>,
 }
 
 impl BimodalPredictor {
@@ -82,17 +86,24 @@ impl BimodalPredictor {
         BimodalPredictor::default()
     }
 
-    /// Current counter for a branch.
+    /// Current counter for a branch (the starting counter for a PC
+    /// never updated, or off the instruction words).
     pub fn counter(&self, pc: u32) -> Counter {
         self.counters
-            .get(&pc)
+            .get(pc)
             .copied()
             .unwrap_or(Counter::WeakNotTaken)
     }
 
-    /// Records one executed outcome (one hash probe).
+    /// Records one executed outcome (one indexed load).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is not word-aligned (no branch lives there).
     pub fn update(&mut self, pc: u32, taken: bool) {
-        let counter = self.counters.entry(pc).or_insert(Counter::WeakNotTaken);
+        let counter = self
+            .counters
+            .get_or_insert_with(pc, || Counter::WeakNotTaken);
         *counter = counter.update(taken);
     }
 
@@ -110,12 +121,14 @@ impl BimodalPredictor {
     /// All tracked `(branch PC, counter)` pairs, sorted by PC so the
     /// snapshot byte stream is deterministic.
     pub fn entries(&self) -> Vec<(u32, Counter)> {
-        let mut v: Vec<(u32, Counter)> = self.counters.iter().map(|(&pc, &c)| (pc, c)).collect();
-        v.sort_unstable_by_key(|&(pc, _)| pc);
-        v
+        self.counters.iter().map(|(pc, &c)| (pc, c)).collect()
     }
 
     /// Restores one counter (snapshot warm-start path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is not word-aligned.
     pub fn seed(&mut self, pc: u32, counter: Counter) {
         self.counters.insert(pc, counter);
     }
@@ -160,6 +173,46 @@ mod tests {
         p.update(12, false);
         assert_eq!(p.saturated_direction(8), Some(true));
         assert_eq!(p.saturated_direction(12), Some(false));
+        assert_eq!(p.tracked_branches(), 2);
+    }
+
+    /// PCs below, between and above the tracked branches, and PCs off
+    /// the instruction words, read the starting counter; an update below
+    /// the first tracked branch keeps every earlier counter.
+    #[test]
+    fn untracked_pcs_read_the_starting_counter() {
+        let mut p = BimodalPredictor::new();
+        p.update(0x1000, true);
+        p.update(0x1000, true);
+        p.update(0x1010, false);
+        for pc in [0x0, 0xffc, 0x1004, 0x100c, 0x1014, 0x1001, 0x1012, u32::MAX] {
+            assert_eq!(p.counter(pc), Counter::WeakNotTaken, "{pc:#x}");
+            assert_eq!(p.saturated_direction(pc), None, "{pc:#x}");
+        }
+        p.update(0x10, false);
+        assert_eq!(
+            p.entries(),
+            vec![
+                (0x10, Counter::StrongNotTaken),
+                (0x1000, Counter::StrongTaken),
+                (0x1010, Counter::StrongNotTaken),
+            ]
+        );
+        assert_eq!(p.tracked_branches(), 3);
+    }
+
+    /// A tracked branch back at the starting counter stays in the
+    /// snapshot entries: absent and default are different states.
+    #[test]
+    fn tracked_branch_at_the_starting_counter_is_kept() {
+        let mut p = BimodalPredictor::new();
+        p.update(0x40, true);
+        p.update(0x40, false);
+        p.seed(0x80, Counter::WeakNotTaken);
+        assert_eq!(
+            p.entries(),
+            vec![(0x40, Counter::WeakNotTaken), (0x80, Counter::WeakNotTaken)]
+        );
         assert_eq!(p.tracked_branches(), 2);
     }
 }

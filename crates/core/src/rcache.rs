@@ -7,10 +7,11 @@
 //! own partial insert may evict the entry being replayed, and the
 //! refcount keeps the record alive through that replay without a copy.
 
+use crate::pctable::PcTable;
 use dim_cgra::{ArrayTiming, Configuration, FabricHeat, InvocationCycles};
 use dim_mips::Instruction;
 use dim_obs::{ArrayInvoke, FabricUtil};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 /// Replacement policy of the reconfiguration cache. The paper's cache is
@@ -197,12 +198,15 @@ impl Entry {
 /// The configuration cache (FIFO by default, per the paper).
 ///
 /// The slot count is the headline capacity parameter swept in Table 2
-/// (16 / 64 / 256 slots).
+/// (16 / 64 / 256 slots). Entries are indexed by entry PC in a dense
+/// table with one slot per instruction word, so a lookup is an indexed
+/// load; the slot count bounds how many are resident, and the `order`
+/// queue alone decides which one a full cache evicts.
 #[derive(Debug, Clone)]
 pub struct ReconfCache {
     slots: usize,
     policy: ReplacementPolicy,
-    entries: HashMap<u32, Entry>,
+    entries: PcTable<Entry>,
     order: VecDeque<u32>,
     hits: u64,
     misses: u64,
@@ -225,7 +229,7 @@ impl ReconfCache {
         ReconfCache {
             slots,
             policy,
-            entries: HashMap::new(),
+            entries: PcTable::default(),
             order: VecDeque::new(),
             hits: 0,
             misses: 0,
@@ -252,11 +256,12 @@ impl ReconfCache {
         self.entries.is_empty()
     }
 
-    /// Looks up the record for `pc` with one hash probe, counting a hit
-    /// or miss. Under LRU, a hit refreshes the entry's recency. Clone
-    /// the returned `Arc` to keep the record past later cache writes.
+    /// Looks up the record for `pc` with one indexed load, counting a
+    /// hit or miss (a PC off the instruction words never hits). Under
+    /// LRU, a hit refreshes the entry's recency. Clone the returned
+    /// `Arc` to keep the record past later cache writes.
     pub fn lookup(&mut self, pc: u32) -> Option<&Arc<ReplayRecord>> {
-        match self.entries.get_mut(&pc) {
+        match self.entries.get_mut(pc) {
             Some(entry) => {
                 self.hits += 1;
                 entry.uses += 1;
@@ -275,7 +280,7 @@ impl ReconfCache {
 
     /// Peeks without touching the statistics.
     pub fn peek(&self, pc: u32) -> Option<&Configuration> {
-        self.entries.get(&pc).map(|e| e.record.config())
+        self.entries.get(pc).map(|e| e.record.config())
     }
 
     /// Inserts a configuration (keyed by its entry PC), evicting the
@@ -284,6 +289,11 @@ impl ReconfCache {
     /// its reuse count and drops its stream tag — the new translation
     /// must earn its own keep). Returns the displaced entry's identity
     /// and reuse count, if the insert evicted one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry PC is not word-aligned (no fetched
+    /// instruction lives there).
     pub fn insert(&mut self, config: Configuration) -> Option<EvictedEntry> {
         if self.slots == 0 {
             return None;
@@ -298,7 +308,7 @@ impl ReconfCache {
         while self.entries.len() > self.slots {
             // Skip stale order entries left by flushes.
             if let Some(old) = self.order.pop_front() {
-                if let Some(victim) = self.entries.remove(&old) {
+                if let Some(victim) = self.entries.remove(old) {
                     self.evictions += 1;
                     if victim.uses > 0 {
                         self.evictions_live += 1;
@@ -318,7 +328,7 @@ impl ReconfCache {
 
     /// Removes the configuration for `pc` (misspeculation flush).
     pub fn flush(&mut self, pc: u32) {
-        if self.entries.remove(&pc).is_some() {
+        if self.entries.remove(pc).is_some() {
             self.flushes += 1;
             self.order.retain(|&p| p != pc);
         }
@@ -329,7 +339,7 @@ impl ReconfCache {
     /// `false` (and tags nothing) if no entry is resident at `pc` or
     /// `burst` is 0.
     pub fn tag_stream(&mut self, pc: u32, burst: u32) -> bool {
-        match self.entries.get_mut(&pc) {
+        match self.entries.get_mut(pc) {
             Some(entry) if burst > 0 => {
                 entry.stream_tag = Some(burst);
                 true
@@ -341,14 +351,14 @@ impl ReconfCache {
     /// The certified burst K of the entry at `pc`, if it is resident
     /// and stream-tagged.
     pub fn stream_tag(&self, pc: u32) -> Option<u32> {
-        self.entries.get(&pc).and_then(|e| e.stream_tag)
+        self.entries.get(pc).and_then(|e| e.stream_tag)
     }
 
     /// Number of resident stream-tagged entries.
     pub fn stream_tag_count(&self) -> usize {
         self.entries
-            .values()
-            .filter(|e| e.stream_tag.is_some())
+            .iter()
+            .filter(|(_, e)| e.stream_tag.is_some())
             .count()
     }
 
@@ -388,7 +398,7 @@ impl ReconfCache {
     pub fn records(&self) -> impl Iterator<Item = &Arc<ReplayRecord>> + '_ {
         self.order
             .iter()
-            .filter_map(|pc| self.entries.get(pc))
+            .filter_map(|&pc| self.entries.get(pc))
             .map(|e| &e.record)
     }
 
@@ -404,9 +414,13 @@ impl ReconfCache {
     /// exactly. Returns `false` (and stores nothing) if the cache is
     /// already at capacity or the PC is already present; snapshot
     /// loading treats that as corruption upstream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry PC is not word-aligned.
     pub fn seed(&mut self, config: Configuration) -> bool {
         let pc = config.entry_pc;
-        if self.slots == 0 || self.entries.len() >= self.slots || self.entries.contains_key(&pc) {
+        if self.slots == 0 || self.entries.len() >= self.slots || self.entries.get(pc).is_some() {
             return false;
         }
         self.entries.insert(pc, Entry::new(config));
@@ -672,6 +686,42 @@ mod tests {
         fn send_sync<T: Send + Sync>() {}
         send_sync::<Arc<ReplayRecord>>();
         send_sync::<ReconfCache>();
+    }
+
+    /// Entries are indexed by word: PCs below, between and above the
+    /// stored ones, and PCs off the instruction words, miss (and count
+    /// as misses); inserting below the first stored PC keeps every
+    /// entry and the FIFO order.
+    #[test]
+    fn lookups_off_the_stored_words_miss() {
+        let mut cache = ReconfCache::new(4);
+        cache.insert(config_at(0x1000));
+        cache.insert(config_at(0x1010));
+        let misses = [
+            0x0,
+            0xffc,
+            0x1004,
+            0x100c,
+            0x1014,
+            0x2000,
+            0x1001,
+            0x1002,
+            0x1013,
+            u32::MAX,
+        ];
+        for pc in misses {
+            assert!(cache.lookup(pc).is_none(), "{pc:#x}");
+            assert!(cache.peek(pc).is_none(), "{pc:#x}");
+        }
+        assert_eq!(cache.hit_miss(), (0, misses.len() as u64));
+        assert!(cache.lookup(0x1010).is_some());
+
+        cache.insert(config_at(0x800));
+        cache.insert(config_at(0x4));
+        let order: Vec<u32> = cache.iter().map(|c| c.entry_pc).collect();
+        assert_eq!(order, [0x1000, 0x1010, 0x800, 0x4]);
+        assert!(order.iter().all(|&pc| cache.peek(pc).is_some()));
+        assert_eq!(cache.insert(config_at(0x8)).map(|e| e.pc), Some(0x1000));
     }
 
     #[test]

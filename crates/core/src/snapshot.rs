@@ -23,16 +23,19 @@
 //! The payload starts with a compatibility header (array shape, cache
 //! slots + policy, speculation settings, flush threshold). Loading
 //! validates magic, version, length, checksum, and every header field
-//! against the live [`SystemConfig`]; any mismatch is a hard error —
+//! against the live [`SystemConfig`], then every PC the payload names
+//! against the loaded program's text; any mismatch is a hard error —
 //! a snapshot never silently reinterprets configurations placed for a
-//! different array.
+//! different array or translated from a different program.
 
+use crate::pctable::PcTable;
 use crate::rcache::ReplacementPolicy;
 use crate::{Counter, ReconfCache, System, SystemConfig};
 use dim_cgra::snapshot::{
     decode_config, encode_config, put_shape, put_u32, put_u64, read_shape, Cursor, WireError,
 };
 use dim_cgra::{ArrayShape, Configuration};
+use dim_mips_sim::Machine;
 use dim_obs::frame::{self, FrameError, FrameSpec};
 use std::fmt;
 
@@ -77,6 +80,16 @@ pub enum SnapshotError {
         /// First verifier violation.
         detail: String,
     },
+    /// The snapshot was taken from another program (or another build of
+    /// the same one): a configuration, op, predictor counter or strike
+    /// names a PC outside the loaded text segment, or an op's
+    /// instruction differs from the text word at its PC.
+    ProgramMismatch {
+        /// The first PC that does not match the loaded program.
+        pc: u32,
+        /// What disagrees there.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -101,6 +114,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::InvalidConfig { pc, len, detail } => write!(
                 f,
                 "snapshot region at {pc:#x} ({len} instructions) failed verification: {detail}"
+            ),
+            SnapshotError::ProgramMismatch { pc, detail } => write!(
+                f,
+                "snapshot does not match the loaded program at {pc:#x}: {detail}"
             ),
         }
     }
@@ -312,6 +329,44 @@ impl SnapshotContents {
         frame::encode_frame(SNAPSHOT_FRAME, &payload)
     }
 
+    /// Checks every PC the snapshot names against `machine`'s text: each
+    /// configuration's entry and ops, predictor counter and strike must
+    /// sit on an instruction word, and each op must be the instruction
+    /// stored there.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::ProgramMismatch`] naming the first PC that fails.
+    fn check_program(&self, machine: &Machine) -> Result<(), SnapshotError> {
+        let fetch = |pc: u32, what: &str| {
+            machine
+                .fetch(pc)
+                .map_err(|_| SnapshotError::ProgramMismatch {
+                    pc,
+                    detail: format!("{what} lies outside the text segment"),
+                })
+        };
+        for config in &self.configs {
+            fetch(config.entry_pc, "configuration entry")?;
+            for op in config.ops() {
+                let text = fetch(op.pc, "configuration op")?;
+                if text != op.inst {
+                    return Err(SnapshotError::ProgramMismatch {
+                        pc: op.pc,
+                        detail: format!("cached op `{}` but the text holds `{text}`", op.inst),
+                    });
+                }
+            }
+        }
+        for &(pc, _) in &self.predictor {
+            fetch(pc, "predictor counter")?;
+        }
+        for &(pc, _) in &self.strikes {
+            fetch(pc, "misspeculation strike")?;
+        }
+        Ok(())
+    }
+
     fn check_compatible(&self, config: &SystemConfig) -> Result<(), SnapshotError> {
         check_eq("array shape", self.shape, config.shape)?;
         check_eq("cache slots", self.cache_slots, config.cache_slots as u64)?;
@@ -344,13 +399,6 @@ impl System {
     pub fn save_rcache(&mut self) -> Vec<u8> {
         self.translator.abandon_region();
 
-        let mut strikes: Vec<(u32, u32)> = self
-            .misspec_counts
-            .iter()
-            .map(|(&pc, &n)| (pc, n))
-            .collect();
-        strikes.sort_unstable_by_key(|&(pc, _)| pc);
-
         let config = *self.config();
         SnapshotContents {
             shape: config.shape,
@@ -361,7 +409,7 @@ impl System {
             support_shifts: config.support_shifts,
             misspec_flush_threshold: config.misspec_flush_threshold,
             predictor: self.predictor.entries(),
-            strikes,
+            strikes: self.misspec_counts.iter().map(|(pc, &n)| (pc, n)).collect(),
             configs: self.cache.iter().cloned().collect(),
         }
         .encode()
@@ -378,14 +426,17 @@ impl System {
     ///
     /// [`SnapshotError`] when the bytes are not a snapshot, fail the
     /// checksum, were saved under a different array shape, cache
-    /// geometry, or speculation policy than this system's, or contain a
+    /// geometry, or speculation policy than this system's, contain a
     /// configuration that fails the static verifier
-    /// ([`SnapshotError::InvalidConfig`] names the region's PC/len).
+    /// ([`SnapshotError::InvalidConfig`] names the region's PC/len), or
+    /// were taken from a different program
+    /// ([`SnapshotError::ProgramMismatch`] names the first foreign PC).
     pub fn load_rcache(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let contents = SnapshotContents::parse(bytes)?;
         let config = *self.config();
         contents.check_compatible(&config)?;
         contents.verify()?;
+        contents.check_program(self.machine())?;
 
         // Build fresh state first so a corrupt tail cannot leave the
         // system half-restored.
@@ -393,8 +444,10 @@ impl System {
         for &(pc, counter) in &contents.predictor {
             predictor.seed(pc, counter);
         }
-        let strikes: std::collections::HashMap<u32, u32> =
-            contents.strikes.iter().copied().collect();
+        let mut strikes = PcTable::default();
+        for &(pc, n) in &contents.strikes {
+            strikes.insert(pc, n);
+        }
         let mut cache = ReconfCache::with_policy(config.cache_slots, config.cache_policy);
         for entry in contents.configs {
             let pc = entry.entry_pc;
@@ -419,7 +472,6 @@ mod tests {
     use crate::SystemConfig;
     use dim_cgra::ArrayShape;
     use dim_mips::asm::assemble;
-    use dim_mips_sim::Machine;
 
     const LOOP: &str = "
         main: li $s0, 300
@@ -603,6 +655,58 @@ mod tests {
         }
         // The failed load must not have touched the warm state.
         assert!(fresh.cache().is_empty());
+    }
+
+    /// Predictor counters and strikes must name instruction words of
+    /// the loaded text, like every cached op.
+    #[test]
+    fn load_rejects_pcs_outside_the_text() {
+        let mut sys = warmed_system();
+        let bytes = sys.save_rcache();
+        let text_end = sys.machine().text_base() + 4 * sys.machine().text_len() as u32;
+        let below = sys.machine().text_base() - 4;
+        let doctored = [
+            (text_end, "predictor"),
+            (below, "strike"),
+            (text_end + 2, "predictor"),
+        ];
+        for (pc, table) in doctored {
+            let mut contents = SnapshotContents::parse(&bytes).unwrap();
+            match table {
+                "predictor" => contents.predictor.push((pc, Counter::StrongTaken)),
+                _ => contents.strikes.push((pc, 1)),
+            }
+            let mut fresh = System::new(
+                Machine::load(&assemble(LOOP).unwrap()),
+                SystemConfig::new(ArrayShape::config1(), 64, true),
+            );
+            match fresh.load_rcache(&contents.encode()) {
+                Err(SnapshotError::ProgramMismatch { pc: named, .. }) => {
+                    assert_eq!(named, pc, "{table}");
+                }
+                other => panic!("{table} PC {pc:#x}: {other:?}"),
+            }
+            assert!(fresh.cache().is_empty());
+        }
+    }
+
+    /// An op whose instruction is not the text word at its PC is foreign
+    /// code, even when the region itself is well formed.
+    #[test]
+    fn load_rejects_ops_that_differ_from_the_text() {
+        let mut sys = warmed_system();
+        let bytes = sys.save_rcache();
+        let changed = assemble(&LOOP.replace("xor  $t1, $v0, $s0", "or   $t1, $v0, $s0")).unwrap();
+        let mut fresh = System::new(
+            Machine::load(&changed),
+            SystemConfig::new(ArrayShape::config1(), 64, true),
+        );
+        let err = fresh.load_rcache(&bytes).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::ProgramMismatch { .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("xor"), "{err}");
     }
 
     #[test]

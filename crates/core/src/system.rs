@@ -8,6 +8,7 @@
 //! region. On a miss, the instruction executes normally on the pipeline
 //! while the DIM hardware translates it in parallel.
 
+use crate::pctable::PcTable;
 use crate::{
     BimodalPredictor, CycleBreakdown, DimStats, ReconfCache, ReplacementPolicy, ReplayRecord,
     Translator, TranslatorOptions,
@@ -118,7 +119,8 @@ pub struct System {
     fabric: FabricHeat,
     host_split: Option<Box<HostSplit>>,
     stored_bits_per_config: u64,
-    pub(crate) misspec_counts: HashMap<u32, u32>,
+    /// Misspeculations per configuration entry PC since its last full hit.
+    pub(crate) misspec_counts: PcTable<u32>,
     commit_log: Option<Vec<Configuration>>,
     /// Installed streaming certificates, keyed by region entry PC.
     stream_certs: HashMap<u32, StreamingCert>,
@@ -150,7 +152,7 @@ impl System {
             fabric: FabricHeat::new(),
             host_split: None,
             stored_bits_per_config: stored_bits,
-            misspec_counts: HashMap::new(),
+            misspec_counts: PcTable::default(),
             commit_log: None,
             stream_certs: HashMap::new(),
             stream_tags_applied: 0,
@@ -619,12 +621,14 @@ impl System {
                 // Flush the whole configuration once the counter saturates
                 // the other way (paper §4.2), or once this configuration
                 // has misspeculated a bounded number of times in a row.
-                let strikes = self.misspec_counts.entry(config.entry_pc).or_insert(0);
+                let strikes = self
+                    .misspec_counts
+                    .get_or_insert_with(config.entry_pc, || 0);
                 *strikes += 1;
                 if self.predictor.saturated_direction(branch_pc) == Some(!predicted)
                     || *strikes >= self.config.misspec_flush_threshold
                 {
-                    self.misspec_counts.remove(&config.entry_pc);
+                    self.misspec_counts.remove(config.entry_pc);
                     // The hit's partial insert may already have evicted
                     // the configuration being replayed; only a resident
                     // entry is flushed (and counted, and reported).
@@ -637,9 +641,7 @@ impl System {
             }
             None => {
                 self.stats.full_hits += 1;
-                if !self.misspec_counts.is_empty() {
-                    self.misspec_counts.remove(&config.entry_pc);
-                }
+                self.misspec_counts.remove(config.entry_pc);
             }
         }
 

@@ -9,9 +9,10 @@
 //! dominated by evictions) and the speculation policy.
 
 use dim_cgra::ArrayShape;
-use dim_core::{DimStats, System, SystemConfig};
+use dim_core::{DimStats, SnapshotError, System, SystemConfig};
 use dim_mips::asm::{assemble, Program};
-use dim_mips_sim::Machine;
+use dim_mips_sim::{HaltReason, Machine};
+use dim_workloads::{validate, Scale};
 use proptest::prelude::*;
 
 /// Two hot loops with distinct bodies, parameterized by trip counts so
@@ -159,4 +160,43 @@ fn warm_restart_matches_at_trivial_save_points() {
     check_warm_matches_cold(16, 16, 1, 64, true).unwrap();
     // Save after completion: the continuation is empty on both sides.
     check_warm_matches_cold(16, 16, BUDGET, 64, true).unwrap();
+}
+
+/// A snapshot only loads into the program it was taken from. The scale
+/// changes a kernel's text (input sizes and data addresses are
+/// assembled into immediates), so a `tiny` snapshot offered to the
+/// `small` build is rejected with the first foreign PC; loaded anyway,
+/// each of these ran to `Exit(0)` with wrong output. Into its own
+/// program the same snapshot still loads, round-trips byte for byte and
+/// warm-starts a run that validates.
+#[test]
+fn snapshots_load_only_into_the_program_they_came_from() {
+    let config = SystemConfig::new(ArrayShape::config2(), 64, true);
+    for name in ["crc32", "bitcount", "sha", "quicksort", "gsm_enc"] {
+        let spec = dim_workloads::by_name(name).expect("workload exists");
+        let tiny = (spec.build)(Scale::Tiny);
+        let mut donor = System::new(Machine::load(&tiny.program), config);
+        donor.run(tiny.max_steps).expect(name);
+        let bytes = donor.save_rcache();
+        assert!(!donor.cache().is_empty(), "{name}: nothing cached");
+
+        let small = (spec.build)(Scale::Small);
+        let mut foreign = System::new(Machine::load(&small.program), config);
+        match foreign.load_rcache(&bytes) {
+            Err(err @ SnapshotError::ProgramMismatch { .. }) => {
+                assert!(err.to_string().contains("0x"), "{name}: {err}");
+            }
+            other => panic!("{name}: tiny snapshot into the small build gave {other:?}"),
+        }
+        assert!(
+            foreign.cache().is_empty(),
+            "{name}: a rejected load restores nothing"
+        );
+
+        let mut same = System::new(Machine::load(&tiny.program), config);
+        same.load_rcache(&bytes).expect(name);
+        assert_eq!(same.save_rcache(), bytes, "{name}: same-program round trip");
+        assert!(matches!(same.run(tiny.max_steps), Ok(HaltReason::Exit(_))));
+        validate(same.machine(), &tiny).expect(name);
+    }
 }

@@ -8,7 +8,7 @@
 //! long-running daemon: clients submit run/accel/explain requests over
 //! a Unix socket, a bounded queue feeds the dim-sweep worker pool, and
 //! translated configurations outlive the request that produced them in
-//! **shared warm shards**, keyed by (workload, shape, slots,
+//! **shared warm shards**, keyed by (workload, scale, shape, slots,
 //! speculation). A later request against the same shard starts with the
 //! translator's work already done.
 //!

@@ -472,6 +472,7 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
     let config = system_config(request);
     let id = shard_id(
         &request.workload,
+        request.scale,
         request.shape,
         request.slots,
         request.speculation,

@@ -1,7 +1,7 @@
 //! Shared warm reconfiguration-cache shards.
 //!
 //! A shard is the server's cross-request, cross-tenant pool of
-//! translated configurations for one (workload, shape, slots,
+//! translated configurations for one (workload, scale, shape, slots,
 //! speculation) point. Requests with `shared_shard` warm-start from the
 //! shard's current contents and, after running, offer their own
 //! `.dimrc` snapshot back for admission.
@@ -26,6 +26,7 @@
 
 use dim_cgra::ShapeChoice;
 use dim_core::{SnapshotContents, SnapshotError, SystemConfig};
+use dim_workloads::Scale;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -258,11 +259,17 @@ pub struct ShardManager {
     shards: Mutex<HashMap<String, Shard>>,
 }
 
-/// Identity of the shard a request maps to.
-pub fn shard_id(workload: &str, shape: u8, slots: u32, speculation: bool) -> String {
+/// Identity of the shard a request maps to. The scale is part of it
+/// because it changes the assembled text (a kernel's input sizes are
+/// immediates), and a snapshot only loads into the program it came from.
+pub fn shard_id(workload: &str, scale: Scale, shape: u8, slots: u32, speculation: bool) -> String {
     let shape = ShapeChoice::table1(shape).unwrap_or(ShapeChoice::Ideal);
     let spec = if speculation { "spec" } else { "nospec" };
-    format!("{workload}__{}_s{slots}_{spec}", shape.key())
+    format!(
+        "{workload}__{}_{}_s{slots}_{spec}",
+        scale.name(),
+        shape.key()
+    )
 }
 
 impl ShardManager {
@@ -587,7 +594,13 @@ mod tests {
 
     #[test]
     fn shard_ids_are_stable() {
-        assert_eq!(shard_id("crc32", 2, 64, true), "crc32__c2_s64_spec");
-        assert_eq!(shard_id("sha", 1, 16, false), "sha__c1_s16_nospec");
+        assert_eq!(
+            shard_id("crc32", Scale::Tiny, 2, 64, true),
+            "crc32__tiny_c2_s64_spec"
+        );
+        assert_eq!(
+            shard_id("sha", Scale::Small, 1, 16, false),
+            "sha__small_c1_s16_nospec"
+        );
     }
 }

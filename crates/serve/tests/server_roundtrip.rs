@@ -156,13 +156,49 @@ fn warm_shard_is_reused_across_requests_and_drains_to_dimrc() {
 
     // The drained shard is an ordinary verifiable snapshot.
     assert_eq!(summary.shards, 1);
-    let path = shard_dir.join("crc32__c2_s64_spec.dimrc");
+    let path = shard_dir.join("crc32__tiny_c2_s64_spec.dimrc");
     let bytes = std::fs::read(&path).expect("drained shard exists");
     let contents = SnapshotContents::parse(&bytes).expect("drained shard parses");
     contents
         .verify()
         .expect("drained shard passes the verifier");
     assert!(!contents.configs.is_empty());
+}
+
+/// The scale changes a kernel's text (crc32 assembles its buffer
+/// length as an immediate), so a `tiny` request's shard must not
+/// warm-start a `small` one: the `small` request runs cold on a shard of
+/// its own, and both validate.
+#[test]
+fn shards_are_keyed_by_scale() {
+    let dir = TempDir::new("scales");
+    let shard_dir = dir.path().join("shards");
+    let mut opts = ServeOptions::new(dir.path().join("dim.sock"));
+    opts.shard_dir = Some(shard_dir.clone());
+    let small = Request {
+        scale: dim_workloads::Scale::Small,
+        ..accel_request("crc32", true)
+    };
+    let (replies, summary) = with_server(opts, |socket| {
+        let tiny = submit(socket, &[accel_request("crc32", true)]).expect("submit");
+        let small = submit(socket, &[small]).expect("submit");
+        (ok_json(&tiny[0]), ok_json(&small[0]))
+    });
+    for (json, scale) in [(&replies.0, "tiny"), (&replies.1, "small")] {
+        assert_eq!(
+            json.get("warm_loaded")
+                .and_then(dim_obs::JsonValue::as_bool),
+            Some(false),
+            "{scale}: a shard of another scale must not warm-start it"
+        );
+    }
+    assert_eq!(summary.shards, 2);
+    for id in ["crc32__tiny_c2_s64_spec", "crc32__small_c2_s64_spec"] {
+        let bytes = std::fs::read(shard_dir.join(format!("{id}.dimrc"))).expect("drained shard");
+        SnapshotContents::parse(&bytes)
+            .and_then(|contents| contents.verify())
+            .expect("drained shard verifies");
+    }
 }
 
 #[test]
@@ -211,7 +247,7 @@ fn poisoned_shard_file_is_rejected_at_import() {
     });
 
     // Corrupt the drained image: flip a payload byte mid-file.
-    let path = shard_dir.join("crc32__c2_s64_spec.dimrc");
+    let path = shard_dir.join("crc32__tiny_c2_s64_spec.dimrc");
     let mut bytes = std::fs::read(&path).expect("shard exists");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;

@@ -26,7 +26,7 @@ impl fmt::Display for Category {
     }
 }
 
-/// Input-size scale. `Tiny` keeps unit tests and Criterion benches fast;
+/// Input-size scale. `Tiny` keeps unit tests fast;
 /// `Full` is what the table/figure harness runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
