@@ -31,6 +31,7 @@ mod runner;
 
 pub use report::{percent, ratio, TextTable};
 pub use runner::{
-    jobs_from_args, report_pool, run_accelerated, run_baseline, run_explained, scale_from_args,
-    speedup, table2_row, AcceleratedRun, ExplainedRun, Table2Row, CACHE_SLOTS, SHAPES,
+    check_accelerated, jobs_from_args, report_pool, run_accelerated, run_baseline, run_explained,
+    scale_from_args, speedup, table2_row, AcceleratedRun, ExplainedRun, Table2Row, CACHE_SLOTS,
+    SHAPES,
 };

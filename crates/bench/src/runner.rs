@@ -38,7 +38,24 @@ pub fn run_accelerated(
     config: SystemConfig,
 ) -> Result<AcceleratedRun, WorkloadError> {
     let mut system = System::new(Machine::load(&built.program), config);
-    match system.run(built.max_steps)? {
+    let halt = system.run(built.max_steps)?;
+    check_accelerated(built, system, halt)
+}
+
+/// The checks [`run_accelerated`] applies once `System::run` returns
+/// `halt`: the program exited within its step budget and produced the
+/// reference output. For callers that time the run alone.
+///
+/// # Errors
+///
+/// [`WorkloadError::Timeout`] on a step-limit halt, or the validation
+/// failure.
+pub fn check_accelerated(
+    built: &BuiltBenchmark,
+    system: System,
+    halt: HaltReason,
+) -> Result<AcceleratedRun, WorkloadError> {
+    match halt {
         HaltReason::StepLimit => {
             return Err(WorkloadError::Timeout {
                 max_steps: built.max_steps,

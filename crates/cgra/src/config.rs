@@ -557,7 +557,8 @@ impl Configuration {
             last_depth = seg.depth;
             // A segment's branch, if any, is its last op.
             if let Some(branch) = seg.branch {
-                match self.ops.get(seg.start + seg.len - 1) {
+                let last = seg.len.checked_sub(1).map(|i| seg.start + i);
+                match last.and_then(|i| self.ops.get(i)) {
                     Some(op) if op.pc == branch.pc && op.inst.is_branch() => {}
                     _ => return Err(format!("segment {k}: branch is not the last op")),
                 }

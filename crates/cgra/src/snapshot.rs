@@ -261,6 +261,15 @@ pub fn decode_config(c: &mut Cursor<'_>) -> Result<Configuration, WireError> {
             let inst = decode(word).map_err(|e| {
                 WireError::Corrupt(format!("instruction word {word:#010x} at {pc:#x}: {e}"))
             })?;
+            // Placement keeps the occupied rows contiguous from row 0, so
+            // no op lands past the first free row. Checked before placing:
+            // `place` grows the row table to the row it is given.
+            if row as usize > config.rows_used() {
+                return Err(WireError::Corrupt(format!(
+                    "op at {pc:#x} in row {row} past the {} occupied rows",
+                    config.rows_used()
+                )));
+            }
             let (placed_row, _) = config.place(pc, inst, depth, row as usize).map_err(|e| {
                 WireError::Corrupt(format!("placement replay at {pc:#x} row {row}: {e}"))
             })?;

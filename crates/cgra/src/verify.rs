@@ -109,6 +109,16 @@ fn check_segments(config: &Configuration, out: &mut Vec<Violation>) {
             );
         }
     }
+    if ops.is_empty() {
+        // Replay would leave the PC at the entry, and the next lookup
+        // would hit the same configuration again.
+        push(
+            out,
+            SegmentStructure,
+            None,
+            "configuration covers no ops".to_string(),
+        );
+    }
     let mut covered = 0usize;
     let mut last_depth = 0u8;
     for (k, seg) in segments.iter().enumerate() {
@@ -265,6 +275,21 @@ fn check_segment_exit(
                             ),
                         );
                     }
+                }
+            } else if k > 0 {
+                // An empty one closes its region on the first instruction
+                // of the predicted path, where the segment before exits.
+                let prev = &config.segments()[k - 1];
+                if seg.exit_pc != prev.exit_pc {
+                    push(
+                        out,
+                        SegmentStructure,
+                        None,
+                        format!(
+                            "empty segment {k} exit {:#x} is not the predicted path {:#x}",
+                            seg.exit_pc, prev.exit_pc
+                        ),
+                    );
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! The dense per-PC table behind the engine's PC-keyed state: the
-//! reconfiguration cache's entries, the bimodal counters and the
-//! misspeculation strikes.
+//! reconfiguration cache's entries, the bimodal counters, the
+//! misspeculation strikes and the translator's region memo.
 //!
 //! Text is fixed once a program is loaded, and every key these tables
 //! see is the PC of a fetched instruction, so a slot per instruction

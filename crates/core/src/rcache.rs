@@ -186,9 +186,9 @@ struct Entry {
 }
 
 impl Entry {
-    fn new(config: Configuration) -> Entry {
+    fn new(record: Arc<ReplayRecord>) -> Entry {
         Entry {
-            record: Arc::new(ReplayRecord::new(config)),
+            record,
             uses: 0,
             stream_tag: None,
         }
@@ -295,12 +295,19 @@ impl ReconfCache {
     /// Panics if the entry PC is not word-aligned (no fetched
     /// instruction lives there).
     pub fn insert(&mut self, config: Configuration) -> Option<EvictedEntry> {
+        self.insert_record(Arc::new(ReplayRecord::new(config)))
+    }
+
+    /// [`insert`](ReconfCache::insert) of a shared record: a region the
+    /// translator committed before re-enters the cache with the costs
+    /// its earlier hits already derived.
+    pub(crate) fn insert_record(&mut self, record: Arc<ReplayRecord>) -> Option<EvictedEntry> {
         if self.slots == 0 {
             return None;
         }
-        let pc = config.entry_pc;
+        let pc = record.config().entry_pc;
         self.insertions += 1;
-        if self.entries.insert(pc, Entry::new(config)).is_some() {
+        if self.entries.insert(pc, Entry::new(record)).is_some() {
             return None;
         }
         self.order.push_back(pc);
@@ -423,7 +430,8 @@ impl ReconfCache {
         if self.slots == 0 || self.entries.len() >= self.slots || self.entries.get(pc).is_some() {
             return false;
         }
-        self.entries.insert(pc, Entry::new(config));
+        self.entries
+            .insert(pc, Entry::new(Arc::new(ReplayRecord::new(config))));
         self.order.push_back(pc);
         true
     }

@@ -21,6 +21,7 @@ use dim_obs::{
     ArrayInvoke, FabricUtil, HostBucket, HostSplit, NullProbe, Probe, ProbeEvent, SharedClock,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// All accelerator parameters for one experiment point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -372,7 +373,7 @@ impl System {
                 // about to execute, which is why the hit holds its own
                 // refcount on the record.)
                 split.enter(HostBucket::Translate);
-                if let Some(partial) = self.translator.take_partial_probed(pc, probe) {
+                if let Some(partial) = self.translator.take_partial_shared(pc, probe) {
                     self.insert_config(partial, probe);
                 }
                 split.exit(HostBucket::Translate);
@@ -396,7 +397,7 @@ impl System {
                 split.enter(HostBucket::Translate);
                 if let Some(done) = self
                     .translator
-                    .observe_probed(&info, &self.predictor, probe)
+                    .observe_shared(&info, &self.predictor, probe)
                 {
                     self.insert_config(done, probe);
                 }
@@ -405,9 +406,10 @@ impl System {
         }
     }
 
-    fn insert_config<P: Probe>(&mut self, config: Configuration, probe: &mut P) {
+    fn insert_config<P: Probe>(&mut self, record: Arc<ReplayRecord>, probe: &mut P) {
+        let config = record.config();
         if self.config.verify_configs {
-            let violations = dim_cgra::verify::verify_config(&config);
+            let violations = dim_cgra::verify::verify_config(config);
             assert!(
                 violations.is_empty(),
                 "translator committed an invalid configuration @ {:#x} ({} ops): {}",
@@ -437,7 +439,7 @@ impl System {
                 .all(|op| cert.contains(op.pc))
                 .then_some(cert.burst)
         });
-        let evicted = self.cache.insert(config);
+        let evicted = self.cache.insert_record(record);
         let tagged = burst.is_some_and(|k| self.cache.tag_stream(pc, k));
         if tagged {
             self.stream_tags_applied += 1;

@@ -8,13 +8,30 @@
 //! collection continues into the next basic block (up to three blocks).
 //! A configuration is handed to the reconfiguration cache only when it
 //! merged more than three instructions.
+//!
+//! The simulated hardware detects a region again every time it opens,
+//! and every observed instruction is counted as detection work. The
+//! host does not have to place it again: a region's outcome is a pure
+//! function of its observed steps (PC, instruction, and each branch's
+//! speculation decision and outcome) under fixed options, so the
+//! translator remembers the last outcome per entry PC. A region that
+//! opens at a remembered PC is checked step by step against the memo and,
+//! on a full match, hands back the record it committed last time; on the
+//! first mismatch it places the matched prefix and continues live.
 
+use crate::pctable::PcTable;
 use crate::predictor::BimodalPredictor;
+use crate::rcache::ReplayRecord;
 use crate::tables::{live_in_sources, DependenceTable};
 use dim_cgra::{ArrayShape, Configuration, PlaceError, SegmentBranch};
-use dim_mips::FuClass;
+use dim_mips::{FuClass, Instruction};
 use dim_mips_sim::{Effect, StepInfo};
 use dim_obs::{NullProbe, Probe, ProbeEvent};
+use std::sync::Arc;
+
+/// Interrupted prefixes with fewer ops are dropped (see
+/// [`Translator::take_partial`]).
+const MIN_PARTIAL_OPS: usize = 8;
 
 /// The commit event for a finished configuration.
 fn commit_event(config: &Configuration, partial: bool) -> ProbeEvent {
@@ -54,11 +71,63 @@ impl TranslatorOptions {
             support_shifts: true,
         }
     }
+
+    /// The decision for a branch observed at speculation depth `depth`:
+    /// `Some(taken)` to translate it as a gating compare and collect on
+    /// along its outcome, `None` to close the region there. `None` for
+    /// every other instruction.
+    fn speculate(&self, info: &StepInfo, depth: u8, predictor: &BimodalPredictor) -> Option<bool> {
+        if !info.inst.is_branch() {
+            return None;
+        }
+        let taken = info.taken.expect("branches report an outcome");
+        let extend = self.speculation
+            && depth + 1 < self.max_spec_blocks
+            && predictor.saturated_direction(info.pc) == Some(taken);
+        extend.then_some(taken)
+    }
+}
+
+/// One observed instruction of a region: everything placement and the
+/// close decision read from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    pc: u32,
+    inst: Instruction,
+    /// For a branch speculated over, its outcome
+    /// ([`TranslatorOptions::speculate`]).
+    spec: Option<bool>,
+}
+
+/// How a remembered region ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// Its last step closed it.
+    Closed,
+    /// A cache hit at this PC interrupted it after its last step.
+    Hit(u32),
+}
+
+/// The last outcome of a region opened at one entry PC.
+#[derive(Debug, Clone)]
+struct Outcome {
+    steps: Vec<Step>,
+    end: End,
+    /// The committed record, `None` for a dropped region.
+    record: Option<Arc<ReplayRecord>>,
+}
+
+/// How far the open region has matched its entry's [`Outcome`].
+#[derive(Debug, Clone, Copy)]
+struct Follow {
+    matched: usize,
+    /// Speculated branches among the matched steps.
+    depth: u8,
 }
 
 /// The region under detection. One candidate lives as long as its
-/// translator and is reset in place whenever a region opens, so opening
-/// and dropping a region allocates nothing.
+/// translator and is reset in place whenever a region is placed, so
+/// placing and dropping a region allocates nothing.
 #[derive(Debug, Clone)]
 struct Candidate {
     config: Configuration,
@@ -72,6 +141,65 @@ impl Candidate {
         self.table = DependenceTable::new();
         self.depth = 0;
     }
+
+    /// Places one step, returning `false` when the step closes the
+    /// region instead.
+    fn place(&mut self, opts: &TranslatorOptions, step: &Step) -> bool {
+        let inst = step.inst;
+        let shift_excluded = !opts.support_shifts
+            && matches!(
+                inst,
+                Instruction::Shift { .. } | Instruction::ShiftVar { .. }
+            );
+        match inst.fu_class() {
+            _ if shift_excluded => false,
+            FuClass::Unsupported => false,
+            FuClass::Branch => {
+                let Some(taken) = step.spec else {
+                    return false;
+                };
+                // Translate the branch as a gating compare in the array.
+                let min_row = self.table.min_row(&inst) as usize;
+                if self
+                    .config
+                    .place(step.pc, inst, self.depth, min_row)
+                    .is_err()
+                {
+                    return false;
+                }
+                for src in live_in_sources(&self.table, &inst) {
+                    self.config.note_live_in(src);
+                }
+                let branch = SegmentBranch {
+                    pc: step.pc,
+                    inst,
+                    predicted_taken: taken,
+                    taken_pc: inst.branch_target(step.pc).expect("branch has a target"),
+                    fall_pc: step.pc.wrapping_add(4),
+                };
+                self.config
+                    .finish_segment(self.depth, Some(branch), branch.predicted_pc());
+                self.depth += 1;
+                true
+            }
+            _ => {
+                let min_row = self.table.min_row(&inst) as usize;
+                match self.config.place(step.pc, inst, self.depth, min_row) {
+                    Ok((row, _col)) => {
+                        for src in live_in_sources(&self.table, &inst) {
+                            self.config.note_live_in(src);
+                        }
+                        self.table.record(&inst, row);
+                        for dst in inst.writes().iter() {
+                            self.config.note_writeback(dst, self.depth);
+                        }
+                        true
+                    }
+                    Err(PlaceError::Full) | Err(PlaceError::Unsupported) => false,
+                }
+            }
+        }
+    }
 }
 
 /// The detection/translation state machine.
@@ -84,12 +212,23 @@ impl Candidate {
 pub struct Translator {
     opts: TranslatorOptions,
     candidate: Candidate,
-    /// Whether `candidate` holds an in-flight region.
+    /// Whether a region is open.
     open: bool,
+    /// Entry PC of the open (or last) region.
+    entry: u32,
     /// Whether the next observed instruction is a valid region start
     /// (i.e. it is the first instruction after a control transfer).
     boundary: bool,
     observed: u64,
+    /// The last outcome of a region opened at each entry PC. Host state
+    /// only: it never changes what a region produces, so it stays out
+    /// of snapshots.
+    memo: PcTable<Box<Outcome>>,
+    /// `Some` while the open region matches its entry's memo, which
+    /// then stands in for the candidate.
+    follow: Option<Follow>,
+    /// Steps of the open region placed on the candidate, for the memo.
+    log: Vec<Step>,
 }
 
 impl Translator {
@@ -104,8 +243,12 @@ impl Translator {
                 depth: 0,
             },
             open: false,
+            entry: 0,
             boundary: true,
             observed: 0,
+            memo: PcTable::default(),
+            follow: None,
+            log: Vec::new(),
         }
     }
 
@@ -132,8 +275,10 @@ impl Translator {
     /// candidate, so the snapshotting system must discard its own to
     /// leave both sides in identical states; otherwise the saved run and
     /// its warm restart would translate (and cache) different regions.
+    /// The memo keeps what it holds: a dropped region has no outcome.
     pub fn abandon_region(&mut self) {
         self.open = false;
+        self.follow = None;
         self.boundary = true;
     }
 
@@ -157,29 +302,94 @@ impl Translator {
         exit_pc: u32,
         probe: &mut P,
     ) -> Option<Configuration> {
-        if !self.open || self.candidate.config.instruction_count() < 8 {
-            self.open = false;
-            return None;
-        }
-        let result = self.close(exit_pc);
+        self.take_partial_shared(exit_pc, probe)
+            .map(|record| record.config().clone())
+    }
+
+    /// [`take_partial_probed`](Translator::take_partial_probed) handing
+    /// back the shared record, which a repeated region reuses.
+    pub(crate) fn take_partial_shared<P: Probe>(
+        &mut self,
+        exit_pc: u32,
+        probe: &mut P,
+    ) -> Option<Arc<ReplayRecord>> {
+        let result = self.take_partial_impl(exit_pc);
         if P::ENABLED {
-            if let Some(config) = &result {
-                probe.emit(commit_event(config, true));
+            if let Some(record) = &result {
+                probe.emit(commit_event(record.config(), true));
             }
         }
         result
     }
 
-    /// Closes the in-flight region at `exit_pc`, returning an exact-size
-    /// copy of it if it is worth caching.
-    fn close(&mut self, exit_pc: u32) -> Option<Configuration> {
+    fn take_partial_impl(&mut self, exit_pc: u32) -> Option<Arc<ReplayRecord>> {
+        if !self.open {
+            return None;
+        }
+        if let Some(Follow { matched, .. }) = self.follow.take() {
+            let outcome = self.memo.get_mut(self.entry).expect("followed entry");
+            if matched == outcome.steps.len() && outcome.end == End::Hit(exit_pc) {
+                self.open = false;
+                return outcome.record.clone();
+            }
+            if matched < MIN_PARTIAL_OPS {
+                // Every matched step was placed, and too few were.
+                self.open = false;
+                outcome.steps.truncate(matched);
+                outcome.end = End::Hit(exit_pc);
+                outcome.record = None;
+                return None;
+            }
+            self.rebuild(matched);
+        }
+        let result = if self.candidate.config.instruction_count() < MIN_PARTIAL_OPS {
+            self.open = false;
+            None
+        } else {
+            self.close(exit_pc)
+        };
+        self.remember(End::Hit(exit_pc), result.clone());
+        result
+    }
+
+    /// Closes the in-flight region at `exit_pc`, returning a record of
+    /// an exact-size copy of it if it is worth caching.
+    fn close(&mut self, exit_pc: u32) -> Option<Arc<ReplayRecord>> {
         self.open = false;
         let cand = &mut self.candidate;
         if !cand.config.worth_caching() {
             return None;
         }
         cand.config.finish_segment(cand.depth, None, exit_pc);
-        Some(cand.config.clone())
+        Some(Arc::new(ReplayRecord::new(cand.config.clone())))
+    }
+
+    /// Stores the region just placed as its entry's last outcome.
+    fn remember(&mut self, end: End, record: Option<Arc<ReplayRecord>>) {
+        let outcome = self.memo.get_or_insert_with(self.entry, || {
+            Box::new(Outcome {
+                steps: Vec::new(),
+                end,
+                record: None,
+            })
+        });
+        outcome.steps.clear();
+        outcome.steps.extend_from_slice(&self.log);
+        outcome.end = end;
+        outcome.record = record;
+    }
+
+    /// Leaves a follow: places the first `matched` steps of the entry's
+    /// memo on the candidate, which the region then continues live from.
+    fn rebuild(&mut self, matched: usize) {
+        let outcome = self.memo.get(self.entry).expect("followed entry");
+        self.log.clear();
+        self.log.extend_from_slice(&outcome.steps[..matched]);
+        self.candidate.reset(self.entry);
+        for step in &self.log {
+            let placed = self.candidate.place(&self.opts, step);
+            assert!(placed, "a remembered step closed its region early");
+        }
     }
 
     /// Feeds one retired instruction. Returns a finished configuration
@@ -202,16 +412,26 @@ impl Translator {
         predictor: &BimodalPredictor,
         probe: &mut P,
     ) -> Option<Configuration> {
+        self.observe_shared(info, predictor, probe)
+            .map(|record| record.config().clone())
+    }
+
+    /// [`observe_probed`](Translator::observe_probed) handing back the
+    /// shared record, which a repeated region reuses.
+    pub(crate) fn observe_shared<P: Probe>(
+        &mut self,
+        info: &StepInfo,
+        predictor: &BimodalPredictor,
+        probe: &mut P,
+    ) -> Option<Arc<ReplayRecord>> {
         let was_open = self.open;
         let result = self.observe_impl(info, predictor);
         if P::ENABLED {
             if !was_open && self.open {
-                probe.emit(ProbeEvent::TransBegin {
-                    pc: self.candidate.config.entry_pc,
-                });
+                probe.emit(ProbeEvent::TransBegin { pc: self.entry });
             }
-            if let Some(config) = &result {
-                probe.emit(commit_event(config, false));
+            if let Some(record) = &result {
+                probe.emit(commit_event(record.config(), false));
             }
         }
         result
@@ -221,7 +441,7 @@ impl Translator {
         &mut self,
         info: &StepInfo,
         predictor: &BimodalPredictor,
-    ) -> Option<Configuration> {
+    ) -> Option<Arc<ReplayRecord>> {
         self.observed += 1;
         let was_boundary = self.boundary;
         self.boundary = info.inst.is_control() || !matches!(info.effect, Effect::None);
@@ -230,72 +450,51 @@ impl Translator {
             if !was_boundary {
                 return None;
             }
-            self.candidate.reset(info.pc);
             self.open = true;
+            self.entry = info.pc;
+            if self.memo.get(info.pc).is_some() {
+                self.follow = Some(Follow {
+                    matched: 0,
+                    depth: 0,
+                });
+            } else {
+                self.candidate.reset(info.pc);
+                self.log.clear();
+            }
         }
-        let cand = &mut self.candidate;
 
-        let shift_excluded = !self.opts.support_shifts
-            && matches!(
-                info.inst,
-                dim_mips::Instruction::Shift { .. } | dim_mips::Instruction::ShiftVar { .. }
-            );
-        match info.inst.fu_class() {
-            _ if shift_excluded => self.close(info.pc),
-            FuClass::Unsupported => self.close(info.pc),
-            FuClass::Branch => {
-                let taken = info.taken.expect("branches report an outcome");
-                let extend = self.opts.speculation
-                    && cand.depth + 1 < self.opts.max_spec_blocks
-                    && predictor.saturated_direction(info.pc) == Some(taken);
-                if !extend {
-                    return self.close(info.pc);
+        let depth = self
+            .follow
+            .map_or(self.candidate.depth, |follow| follow.depth);
+        let step = Step {
+            pc: info.pc,
+            inst: info.inst,
+            spec: self.opts.speculate(info, depth, predictor),
+        };
+        if let Some(follow) = &mut self.follow {
+            let outcome = self.memo.get(self.entry).expect("followed entry");
+            if outcome.steps.get(follow.matched) == Some(&step) {
+                follow.matched += 1;
+                follow.depth += u8::from(step.spec.is_some());
+                if follow.matched == outcome.steps.len() && outcome.end == End::Closed {
+                    self.open = false;
+                    self.follow = None;
+                    return outcome.record.clone();
                 }
-                // Translate the branch as a gating compare in the array.
-                let min_row = cand.table.min_row(&info.inst) as usize;
-                match cand.config.place(info.pc, info.inst, cand.depth, min_row) {
-                    Ok(_) => {
-                        for src in live_in_sources(&cand.table, &info.inst) {
-                            cand.config.note_live_in(src);
-                        }
-                        let taken_pc = info
-                            .inst
-                            .branch_target(info.pc)
-                            .expect("branch has a target");
-                        let branch = SegmentBranch {
-                            pc: info.pc,
-                            inst: info.inst,
-                            predicted_taken: taken,
-                            taken_pc,
-                            fall_pc: info.pc.wrapping_add(4),
-                        };
-                        let depth = cand.depth;
-                        cand.config
-                            .finish_segment(depth, Some(branch), branch.predicted_pc());
-                        cand.depth += 1;
-                        None
-                    }
-                    Err(_) => self.close(info.pc),
-                }
+                return None;
             }
-            _ => {
-                let min_row = cand.table.min_row(&info.inst) as usize;
-                match cand.config.place(info.pc, info.inst, cand.depth, min_row) {
-                    Ok((row, _col)) => {
-                        for src in live_in_sources(&cand.table, &info.inst) {
-                            cand.config.note_live_in(src);
-                        }
-                        cand.table.record(&info.inst, row);
-                        let depth = cand.depth;
-                        for dst in info.inst.writes().iter() {
-                            cand.config.note_writeback(dst, depth);
-                        }
-                        None
-                    }
-                    Err(PlaceError::Full) | Err(PlaceError::Unsupported) => self.close(info.pc),
-                }
-            }
+            let matched = follow.matched;
+            self.follow = None;
+            self.rebuild(matched);
         }
+
+        self.log.push(step);
+        if self.candidate.place(&self.opts, &step) {
+            return None;
+        }
+        let result = self.close(info.pc);
+        self.remember(End::Closed, result.clone());
+        result
     }
 }
 
@@ -593,6 +792,84 @@ mod tests {
         }
         let cfg = t.take_partial(target + 12).unwrap();
         cfg.validate().expect("structurally sound");
+    }
+
+    /// Feeds five dependent adds from 0x100 after a boundary, the
+    /// fourth replaced by `fourth`, and closes the region with `last`.
+    fn five_adds(
+        t: &mut Translator,
+        fourth: Instruction,
+        last: Option<(Instruction, Option<bool>)>,
+    ) -> Option<Arc<ReplayRecord>> {
+        let p = BimodalPredictor::new();
+        t.note_boundary();
+        for i in 0..5u32 {
+            let inst = if i == 3 {
+                fourth
+            } else {
+                add(Reg::T0, Reg::T0, Reg::A0)
+            };
+            let done = t.observe_shared(&step(0x100 + 4 * i, inst, None), &p, &mut NullProbe);
+            assert!(done.is_none());
+        }
+        let (inst, taken) = last?;
+        t.observe_shared(&step(0x114, inst, taken), &p, &mut NullProbe)
+    }
+
+    /// A region that repeats its entry's last outcome hands back the
+    /// record it committed then; one that departs from it commits a new
+    /// record, which the next repeat reuses.
+    #[test]
+    fn a_repeated_region_reuses_its_record() {
+        let mut t = no_spec();
+        let same = add(Reg::T0, Reg::T0, Reg::A0);
+        let other = add(Reg::T1, Reg::T0, Reg::A1);
+        let close = Some((branch(-6), Some(true)));
+        let first = five_adds(&mut t, same, close).expect("committed");
+        let again = five_adds(&mut t, same, close).expect("committed");
+        assert!(Arc::ptr_eq(&first, &again));
+        let departed = five_adds(&mut t, other, close).expect("committed");
+        assert!(!Arc::ptr_eq(&first, &departed));
+        assert_ne!(first.config(), departed.config());
+        let repeat = five_adds(&mut t, other, close).expect("committed");
+        assert!(Arc::ptr_eq(&departed, &repeat));
+        let fresh = five_adds(&mut no_spec(), other, close).expect("committed");
+        assert_eq!(departed.config(), fresh.config());
+        assert_eq!(t.observed_instructions(), 4 * 6);
+    }
+
+    /// A hit at the remembered PC after the remembered steps is a
+    /// repeat; a hit elsewhere closes the same prefix at another exit.
+    #[test]
+    fn a_hit_repeats_only_at_the_remembered_pc() {
+        let mut t = no_spec();
+        let p = BimodalPredictor::new();
+        let nine = |t: &mut Translator, exit_pc: u32| {
+            t.note_boundary();
+            for i in 0..9u32 {
+                t.observe(
+                    &step(0x300 + 4 * i, add(Reg::T0, Reg::T0, Reg::A0), None),
+                    &p,
+                );
+            }
+            t.take_partial_shared(exit_pc, &mut NullProbe)
+                .expect("nine ops are kept")
+        };
+        let first = nine(&mut t, 0x324);
+        assert!(Arc::ptr_eq(&first, &nine(&mut t, 0x324)));
+        let elsewhere = nine(&mut t, 0x500);
+        assert!(!Arc::ptr_eq(&first, &elsewhere));
+        assert_eq!(elsewhere.config().segments()[0].exit_pc, 0x500);
+        assert_eq!(
+            elsewhere.config().ops(),
+            first.config().ops(),
+            "same prefix"
+        );
+        // A region abandoned mid-follow leaves the memo as it was.
+        t.note_boundary();
+        t.observe(&step(0x300, add(Reg::T0, Reg::T0, Reg::A0), None), &p);
+        t.abandon_region();
+        assert!(Arc::ptr_eq(&elsewhere, &nine(&mut t, 0x500)));
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! One translator reuses one detection candidate for every region it
-//! opens. These tests feed a single `Translator` back-to-back regions
-//! that end every way a region can end, and check that each region
-//! translates exactly as it does on a fresh translator: nothing of a
-//! closed, dropped or abandoned region (load/store counts, row usage,
-//! the dependence table, the speculation depth, live-ins, write-backs)
-//! carries into the next.
+//! opens, and remembers each entry PC's last region outcome. These
+//! tests feed a single `Translator` back-to-back regions that end every
+//! way a region can end, and check that each region translates exactly
+//! as it does on a fresh translator: nothing of a closed, dropped or
+//! abandoned region (load/store counts, row usage, the dependence
+//! table, the speculation depth, live-ins, write-backs) carries into
+//! the next, and a region that repeats, or departs from, a remembered
+//! one produces what detecting it from scratch produces.
 
 use dim_cgra::{ArrayShape, Configuration};
 use dim_core::{BimodalPredictor, Translator, TranslatorOptions};
 use dim_mips::asm::{assemble_with, AsmOptions};
-use dim_mips::Instruction;
+use dim_mips::{AluImmOp, AluOp, BranchCond, Instruction, MemWidth, MulDivOp, Reg, ShiftOp};
 use dim_mips_sim::{Effect, StepInfo};
+use dim_obs::{Probe, ProbeEvent};
+use proptest::prelude::*;
 
 /// How a region's detection ends after its instructions are observed.
 #[derive(Debug, Clone, Copy)]
@@ -264,4 +268,258 @@ fn the_regions_end_the_way_they_are_named() {
     assert!(after
         .live_ins()
         .any(|l| l == dim_mips::DataLoc::Gpr(dim_mips::Reg::T1)));
+}
+
+/// splitmix64, so one generated seed spells out a whole stream.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+
+    fn reg(&mut self) -> Reg {
+        [Reg::T0, Reg::T1, Reg::T2, Reg::A0, Reg::A1, Reg::V0][self.below(6) as usize]
+    }
+}
+
+const TEXT_BASE: u32 = 0x4000;
+
+/// A random instruction: mostly ALU work, with memory, multiplier,
+/// shifts, short branches and the odd unsupported instruction.
+fn random_inst(rng: &mut Rng) -> Instruction {
+    let (rd, rs, rt) = (rng.reg(), rng.reg(), rng.reg());
+    match rng.below(20) {
+        0..=5 => Instruction::Alu {
+            op: [AluOp::Addu, AluOp::Xor, AluOp::Or, AluOp::Subu][rng.below(4) as usize],
+            rd,
+            rs,
+            rt,
+        },
+        6 | 7 => Instruction::AluImm {
+            op: AluImmOp::Addiu,
+            rt,
+            rs,
+            imm: rng.below(64) as u16,
+        },
+        8 => Instruction::Load {
+            width: MemWidth::Word,
+            signed: false,
+            rt,
+            base: Reg::A0,
+            offset: 4 * rng.below(8) as i16,
+        },
+        9 => Instruction::Store {
+            width: MemWidth::Word,
+            rt,
+            base: Reg::A0,
+            offset: 4 * rng.below(8) as i16,
+        },
+        10 => Instruction::MulDiv {
+            op: MulDivOp::Mult,
+            rs,
+            rt,
+        },
+        11 => Instruction::Mflo { rd },
+        12 => Instruction::Shift {
+            op: ShiftOp::Sll,
+            rd,
+            rt,
+            shamt: 2,
+        },
+        13..=17 => Instruction::Branch {
+            cond: [BranchCond::Ne, BranchCond::Eq][rng.below(2) as usize],
+            rs,
+            rt: Reg::ZERO,
+            offset: rng.below(9) as i16 - 5,
+        },
+        18 => Instruction::MulDiv {
+            op: MulDivOp::Div,
+            rs,
+            rt,
+        },
+        _ => Instruction::Jr { rs: Reg::RA },
+    }
+}
+
+/// One call into the translator, or into the predictor it reads.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Observe(StepInfo),
+    Predict(u32, bool),
+    Partial(u32),
+    Abandon,
+}
+
+/// A run of calls that starts at a region boundary with no region open
+/// and leaves none open.
+type Chunk = Vec<Call>;
+
+/// Region streams over one random text: each chunk walks the text from
+/// one of three entry PCs, mostly along each branch's usual direction,
+/// so it often repeats an earlier chunk from the same entry. It departs
+/// from it by taking a branch the other way, by finding another
+/// instruction at a PC, or by ending earlier or later, and ends at an
+/// unsupported instruction, at a hit on the next PC or elsewhere, or by
+/// abandoning the region. Between chunks, predictor updates saturate
+/// and unsaturate the branches, which flips speculation decisions.
+fn streams(seed: u64) -> Vec<Chunk> {
+    let mut rng = Rng(seed);
+    let text: Vec<Instruction> = (0..48).map(|_| random_inst(&mut rng)).collect();
+    let usual: Vec<bool> = (0..text.len()).map(|_| rng.chance(50)).collect();
+    let entries: Vec<u32> = (0..3)
+        .map(|_| TEXT_BASE + 4 * rng.below(text.len() as u64) as u32)
+        .collect();
+    let lengths: Vec<u64> = entries.iter().map(|_| 1 + rng.below(24)).collect();
+    let fetch = |pc: u32| {
+        pc.checked_sub(TEXT_BASE)
+            .map(|offset| (offset / 4) as usize)
+            .and_then(|word| text.get(word).copied())
+    };
+    (0..40)
+        .map(|_| {
+            let mut chunk = Chunk::new();
+            for _ in 0..rng.below(3) {
+                let branch = TEXT_BASE + 4 * rng.below(text.len() as u64) as u32;
+                chunk.push(Call::Predict(branch, rng.chance(70)));
+            }
+            let which = rng.below(entries.len() as u64) as usize;
+            let length = if rng.chance(80) {
+                lengths[which]
+            } else {
+                1 + rng.below(24)
+            };
+            let mut pc = entries[which];
+            let mut observed = 0;
+            loop {
+                let Some(mut inst) = fetch(pc) else {
+                    chunk.push(Call::Partial(pc));
+                    break;
+                };
+                if rng.chance(3) {
+                    inst = random_inst(&mut rng);
+                }
+                let taken = inst.branch_target(pc).map(|_| {
+                    let word = ((pc - TEXT_BASE) / 4) as usize;
+                    usual[word] != rng.chance(10)
+                });
+                let next_pc = match (taken, inst.branch_target(pc)) {
+                    (Some(true), Some(target)) => target,
+                    _ => pc.wrapping_add(4),
+                };
+                if let Some(taken) = taken {
+                    chunk.push(Call::Predict(pc, taken));
+                }
+                chunk.push(Call::Observe(StepInfo {
+                    pc,
+                    inst,
+                    next_pc,
+                    taken,
+                    mem_addr: None,
+                    effect: Effect::None,
+                }));
+                observed += 1;
+                pc = next_pc;
+                if inst.fu_class() == dim_mips::FuClass::Unsupported {
+                    break;
+                }
+                if observed >= length {
+                    chunk.push(match rng.below(10) {
+                        0..=5 => Call::Partial(pc),
+                        6..=8 => Call::Partial(TEXT_BASE + 4 * rng.below(text.len() as u64) as u32),
+                        _ => Call::Abandon,
+                    });
+                    break;
+                }
+            }
+            chunk
+        })
+        .collect()
+}
+
+/// Records the translator's own events.
+#[derive(Debug, Default)]
+struct Events(Vec<ProbeEvent>);
+
+impl Probe for Events {
+    fn emit(&mut self, event: ProbeEvent) {
+        assert!(
+            matches!(
+                event,
+                ProbeEvent::TransBegin { .. } | ProbeEvent::TransCommit { .. }
+            ),
+            "{event:?}"
+        );
+        self.0.push(event);
+    }
+}
+
+/// Feeds `chunk` after a boundary, returning every call's result and
+/// every event.
+fn run_chunk(
+    translator: &mut Translator,
+    predictor: &mut BimodalPredictor,
+    chunk: &Chunk,
+) -> (Vec<Option<Configuration>>, Vec<ProbeEvent>) {
+    let mut events = Events::default();
+    let mut out = Vec::new();
+    translator.note_boundary();
+    for call in chunk {
+        match *call {
+            Call::Observe(info) => {
+                out.push(translator.observe_probed(&info, predictor, &mut events));
+            }
+            Call::Predict(pc, taken) => predictor.update(pc, taken),
+            Call::Partial(pc) => out.push(translator.take_partial_probed(pc, &mut events)),
+            Call::Abandon => translator.abandon_region(),
+        }
+    }
+    (out, events.0)
+}
+
+fn check_memo_matches_fresh(seed: u64, shape: ArrayShape) -> Result<(), String> {
+    let opts = TranslatorOptions::new(shape);
+    let mut long_lived = Translator::new(opts);
+    let (mut live_predictor, mut fresh_predictor) =
+        (BimodalPredictor::new(), BimodalPredictor::new());
+    for (n, chunk) in streams(seed).iter().enumerate() {
+        let got = run_chunk(&mut long_lived, &mut live_predictor, chunk);
+        let want = run_chunk(&mut Translator::new(opts), &mut fresh_predictor, chunk);
+        if got != want {
+            return Err(format!(
+                "chunk {n} diverged:\ncalls {chunk:#?}\nlong-lived {got:#?}\nfresh {want:#?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A translator that remembers every entry PC's last outcome returns,
+    /// region by region, what a translator with an empty memo returns
+    /// for the same steps and predictor state, and emits the same
+    /// `TransBegin`/`TransCommit` events.
+    #[test]
+    fn a_remembered_outcome_translates_as_a_fresh_translator_does(
+        seed in any::<u64>(),
+        shape in prop_oneof![Just(two_rows()), Just(ArrayShape::config1()), Just(ArrayShape::infinite())],
+    ) {
+        if let Err(msg) = check_memo_matches_fresh(seed, shape) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
 }

@@ -6,11 +6,12 @@ use crate::baseline::{
 };
 use crate::host::{peak_rss_bytes, sim_mips};
 use crate::PerfError;
-use dim_bench::{run_accelerated, run_baseline, run_explained, speedup};
+use dim_bench::{check_accelerated, run_baseline, run_explained, speedup};
 use dim_cgra::{ArrayShape, ShapeChoice};
-use dim_core::SystemConfig;
+use dim_core::{System, SystemConfig};
+use dim_mips_sim::Machine;
 use dim_obs::ObjectWriter;
-use dim_workloads::{by_name, Scale};
+use dim_workloads::{by_name, Scale, WorkloadError};
 use std::time::Instant;
 
 /// How many regions a baseline embeds per workload.
@@ -81,12 +82,14 @@ impl RecordOptions {
 
 /// Runs the matrix and captures a [`Baseline`].
 ///
-/// The wall clock times `host_reps` plain accelerated runs per workload
-/// and keeps the minimum, the standard trick for a low-noise point
-/// estimate. Simulated metrics come from the first of them (the
-/// simulator is deterministic, repetitions cannot change them), plus
-/// one traced run that reconstructs the per-region footprint; its
-/// reconfiguration cache supplies the rcache counters.
+/// The wall clock times `System::run` of `host_reps` plain accelerated
+/// runs per workload and keeps the minimum, the standard trick for a
+/// low-noise point estimate. Each run's system is built and loaded
+/// before the clock starts, and checked and validated after it stops.
+/// Simulated metrics come from the first of them (the simulator is
+/// deterministic, repetitions cannot change them), plus one traced run
+/// that reconstructs the per-region footprint; its reconfiguration
+/// cache supplies the rcache counters.
 ///
 /// # Errors
 ///
@@ -111,10 +114,12 @@ pub fn record(opts: &RecordOptions) -> Result<Baseline, PerfError> {
         let mut first = None;
         let mut wall = Vec::with_capacity(reps as usize);
         for _ in 0..reps {
+            let mut system = System::new(Machine::load(&built.program), config);
             let started = Instant::now();
-            let run = run_accelerated(&built, config)?;
+            let halt = system.run(built.max_steps);
             wall.push(started.elapsed().as_nanos() as u64);
-            first.get_or_insert(run);
+            let halt = halt.map_err(WorkloadError::from)?;
+            first.get_or_insert(check_accelerated(&built, system, halt)?);
         }
         let run = first.expect("reps >= 1");
         let attribution = run.system.cycle_breakdown();

@@ -10,8 +10,11 @@
 //! inputs are printed verbatim instead).
 //!
 //! Determinism: every test function derives its seed from its own name,
-//! so failures reproduce across runs. Set `PROPTEST_CASES` to override
-//! the per-test case count globally.
+//! so failures reproduce across runs. Set `PROPTEST_SEED` to an unsigned
+//! integer to fold it into every test's seed and explore other inputs; a
+//! failing case prints the value next to its inputs, and rerunning with
+//! it reproduces the case. Set `PROPTEST_CASES` to override the per-test
+//! case count globally.
 
 /// Test-runner configuration and the deterministic RNG.
 pub mod test_runner {
@@ -58,12 +61,43 @@ pub mod test_runner {
         state: u64,
     }
 
+    /// The `PROPTEST_SEED` environment override, if set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is set to anything but an unsigned integer, rather
+    /// than quietly running the default inputs.
+    pub fn run_seed() -> Option<u64> {
+        let value = std::env::var("PROPTEST_SEED").ok()?;
+        match value.trim().parse() {
+            Ok(seed) => Some(seed),
+            Err(_) => panic!("PROPTEST_SEED must be an unsigned integer, got {value:?}"),
+        }
+    }
+
+    /// How to reproduce a run's inputs: `PROPTEST_SEED=<n>`, or that it
+    /// was unset.
+    pub fn seed_note() -> String {
+        match run_seed() {
+            Some(seed) => format!("PROPTEST_SEED={seed}"),
+            None => "PROPTEST_SEED unset".to_string(),
+        }
+    }
+
     impl TestRng {
-        /// Seeds the RNG from a test name (FNV-1a), so each test gets a
-        /// stable but distinct stream.
+        /// Seeds the RNG from a test name and [`run_seed`], so each test
+        /// gets a stable but distinct stream per seed.
         pub fn for_test(name: &str) -> TestRng {
+            TestRng::for_test_seeded(name, run_seed())
+        }
+
+        /// Seeds the RNG from a test name (FNV-1a), continued over the
+        /// seed's bytes when there is one. Without a seed the stream is
+        /// the name's alone, which the named `regression_*` cases rely on.
+        pub fn for_test_seeded(name: &str, seed: Option<u64>) -> TestRng {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in name.bytes() {
+            let seed_bytes = seed.map(u64::to_le_bytes);
+            for b in name.bytes().chain(seed_bytes.into_iter().flatten()) {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
@@ -585,14 +619,16 @@ macro_rules! __proptest_fns {
                     Ok(Ok(())) => {}
                     Ok(Err(e)) => {
                         panic!(
-                            "proptest {}: case {} rejected ({:?}) with inputs: {}",
-                            stringify!($name), case, e, desc
+                            "proptest {}: case {} rejected ({:?}) with inputs: {}({})",
+                            stringify!($name), case, e, desc,
+                            $crate::test_runner::seed_note()
                         );
                     }
                     Err(panic) => {
                         eprintln!(
-                            "proptest {}: case {} failed with inputs: {}",
-                            stringify!($name), case, desc
+                            "proptest {}: case {} failed with inputs: {}({})",
+                            stringify!($name), case, desc,
+                            $crate::test_runner::seed_note()
                         );
                         ::std::panic::resume_unwind(panic);
                     }
@@ -614,6 +650,31 @@ mod tests {
         assert_eq!(a.next_u64(), b.next_u64());
         let mut c = crate::test_runner::TestRng::for_test("y");
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn a_run_seed_picks_a_stream() {
+        use crate::test_runner::TestRng;
+        let stream = |seed: Option<u64>| {
+            let mut rng = TestRng::for_test_seeded("x", seed);
+            [rng.next_u64(), rng.next_u64(), rng.next_u64()]
+        };
+        assert_eq!(stream(Some(7)), stream(Some(7)), "same seed, same stream");
+        assert_ne!(
+            stream(Some(7)),
+            stream(Some(8)),
+            "another seed, another stream"
+        );
+        assert_ne!(stream(Some(0)), stream(None), "seed 0 is a seed");
+        // Unset, the stream is the name's alone, as before the override.
+        assert_eq!(
+            stream(None),
+            [
+                0x3382_62d8_f096_398f,
+                0xcefb_9c22_cf51_9144,
+                0xa4b0_db91_8693_ba8a
+            ]
+        );
     }
 
     #[test]
