@@ -1371,9 +1371,11 @@ fn render_status(entries: &[StatusEntry], out: &mut impl Write) -> Result<(), Cl
         let sim_mips = if e.host_nanos == 0 {
             "-".to_string()
         } else {
-            // retired instructions per host second, in millions:
-            // retired / (host_nanos / 1e9) / 1e6.
-            format!("{:.1}", e.retired as f64 * 1000.0 / e.host_nanos as f64)
+            // Pipeline and array instructions per host second, in
+            // millions: (retired + array_retired) / (host_nanos / 1e9)
+            // / 1e6, the count `System::total_instructions` gives.
+            let instructions = e.retired + e.array_retired;
+            format!("{:.1}", instructions as f64 * 1000.0 / e.host_nanos as f64)
         };
         // Request-latency columns only apply to serving aggregates
         // (and to status v2 files they default to 0) — render `-`.
@@ -2786,6 +2788,35 @@ mod tests {
         let err = run_cli(&["top"]).unwrap_err();
         assert!(err.to_string().contains("missing status file"), "{err}");
         std::fs::remove_dir_all(&out_dir).ok();
+    }
+
+    /// A version-3 file has no `array_retired`: it still renders, and
+    /// its sim-MIPS counts the pipeline's instructions alone.
+    #[test]
+    fn top_renders_a_version_3_status_file() {
+        let body = "{\"source\":\"sweep\",\"label\":\"v3\",\"state\":\"done\",\
+                    \"done\":1,\"total\":1,\"retired\":2000,\"sim_cycles\":3000,\
+                    \"invocations\":0,\"rcache_hits\":0,\"rcache_misses\":0,\
+                    \"misspeculations\":0,\"host_nanos\":1000000,\"fabric_busy_thirds\":0,\
+                    \"fabric_capacity_thirds\":0,\"latency_p99_micros\":0,\"queue_depth\":0}\n";
+        let text = format!(
+            "{{\"type\":\"status_header\",\"magic\":\"DIMSTAT\",\"version\":3,\
+             \"entries\":1,\"body_fnv64\":\"{:016x}\"}}\n{body}",
+            dim_obs::fnv1a64(body.as_bytes())
+        );
+        let path = tmp_file("v3.dimstat", &text);
+        let table = run_cli(&["top", path.to_str().unwrap()]).unwrap();
+        let row = table.lines().find(|l| l.contains("v3")).expect("a row");
+        // 2000 instructions in 1 ms of host time.
+        assert!(row.contains(" 2.0 "), "{table}");
+
+        // The same entry at version 4 adds the array's instructions.
+        let mut status = dim_obs::status::StatusFile::parse(&text).unwrap();
+        status.entries[0].array_retired = 6000;
+        let path = tmp_file("v4.dimstat", &status.render());
+        let table = run_cli(&["top", path.to_str().unwrap()]).unwrap();
+        let row = table.lines().find(|l| l.contains("v3")).expect("a row");
+        assert!(row.contains(" 8.0 "), "{table}");
     }
 
     #[test]

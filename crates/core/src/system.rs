@@ -127,6 +127,8 @@ pub struct System {
     stream_certs: HashMap<u32, StreamingCert>,
     /// Commits whose region matched a certificate and were tagged.
     stream_tags_applied: u64,
+    /// Budget the last `run`/`run_probed` call consumed.
+    budget_used: u64,
 }
 
 impl System {
@@ -157,6 +159,7 @@ impl System {
             commit_log: None,
             stream_certs: HashMap::new(),
             stream_tags_applied: 0,
+            budget_used: 0,
         }
     }
 
@@ -282,6 +285,17 @@ impl System {
         self.machine.stats.instructions + self.stats.array_instructions
     }
 
+    /// The instruction budget the last [`run`](System::run) or
+    /// [`run_probed`](System::run_probed) call consumed. A cache hit
+    /// consumes the instructions its configuration covers, even when a
+    /// misspeculation executes fewer, so this can differ from the
+    /// growth of [`total_instructions`](System::total_instructions).
+    /// Splitting one budget into calls that each get what the previous
+    /// ones left stops at the iteration boundary a single call stops at.
+    pub fn budget_used(&self) -> u64 {
+        self.budget_used
+    }
+
     /// Exact per-phase cycle attribution of the run so far. The
     /// breakdown's total equals [`total_cycles`](System::total_cycles)
     /// by construction; `dim perf` cross-checks it against the
@@ -346,12 +360,12 @@ impl System {
         split: &mut S,
     ) -> Result<HaltReason, SimError> {
         let mut retired: u64 = 0;
-        loop {
+        let result = loop {
             if retired >= max_instructions {
-                return Ok(self.machine.halted().unwrap_or(HaltReason::StepLimit));
+                break Ok(self.machine.halted().unwrap_or(HaltReason::StepLimit));
             }
             if let Some(reason) = self.machine.halted() {
-                return Ok(reason);
+                break Ok(reason);
             }
             let pc = self.machine.cpu.pc;
             // Host-time attribution brackets the four engine sections;
@@ -381,7 +395,9 @@ impl System {
                 split.enter(HostBucket::ArrayReplay);
                 let exec = self.execute_config(&record, probe);
                 split.exit(HostBucket::ArrayReplay);
-                exec?;
+                if let Err(e) = exec {
+                    break Err(e);
+                }
             } else {
                 if P::ENABLED {
                     probe.emit(ProbeEvent::RcacheMiss { pc });
@@ -389,7 +405,10 @@ impl System {
                 split.enter(HostBucket::FetchDecode);
                 let step = self.machine.step_probed(probe);
                 split.exit(HostBucket::FetchDecode);
-                let info = step?;
+                let info = match step {
+                    Ok(info) => info,
+                    Err(e) => break Err(e),
+                };
                 retired += 1;
                 if let Some(taken) = info.taken {
                     self.predictor.update(info.pc, taken);
@@ -403,7 +422,9 @@ impl System {
                 }
                 split.exit(HostBucket::Translate);
             }
-        }
+        };
+        self.budget_used = retired;
+        result
     }
 
     fn insert_config<P: Probe>(&mut self, record: Arc<ReplayRecord>, probe: &mut P) {

@@ -1,4 +1,4 @@
-//! The always-on flight recorder and its watchdog-armed guard.
+//! The flight recorder and its watchdog-armed guard.
 //!
 //! A [`FlightRecorder`] is a fixed-capacity, allocation-free ring
 //! buffer of [`ProbeEvent`]s. In steady state it remembers the last

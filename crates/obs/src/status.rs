@@ -3,8 +3,8 @@
 //! Long-running commands publish their progress by atomically replacing
 //! a small JSONL status file that `dim top` tails: one versioned,
 //! checksummed header line followed by one [`StatusEntry`] per tracked
-//! source (a sweep aggregate, each pool worker, a single `dim accel`
-//! run). Writers replace the whole file via temp-file-plus-rename — the
+//! source (the sweep or daemon aggregate, then each pool worker).
+//! Writers replace the whole file via temp-file-plus-rename — the
 //! same discipline as `.dimrc` snapshots — so a reader polling
 //! mid-write never sees a torn file, and the header's FNV-1a body
 //! checksum catches any that slips through.
@@ -14,11 +14,8 @@
 //! determinism contract (wall-clock fields make them inherently
 //! nondeterministic).
 
-use crate::clock::{MonotonicClock, SharedClock};
-use crate::event::ProbeEvent;
 use crate::frame::{parse_text_frame, render_text_frame, TextFrameError};
 use crate::json::{parse, JsonValue, ObjectWriter};
-use crate::probe::Probe;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -33,9 +30,10 @@ pub const STATUS_MAGIC: &str = "DIMSTAT";
 /// `fabric_busy_thirds`/`fabric_capacity_thirds` pair feeding the
 /// `dim top` fabric-utilization column; **3** — adds the span-derived
 /// `latency_p99_micros`/`queue_depth` pair feeding the `dim top` p99
-/// and queue columns. Readers accept older versions (the new fields
-/// default to 0) and reject newer ones.
-pub const STATUS_VERSION: u64 = 3;
+/// and queue columns; **4** — adds `array_retired`, so `dim top`'s
+/// sim-MIPS counts the array's instructions too. Readers accept older
+/// versions (the new fields default to 0) and reject newer ones.
+pub const STATUS_VERSION: u64 = 4;
 /// Conventional file name, appended when a directory is given.
 pub const STATUS_FILE_NAME: &str = "status.dimstat";
 
@@ -92,7 +90,7 @@ impl From<TextFrameError> for StatusError {
 /// One tracked source's live progress sample.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatusEntry {
-    /// Who is reporting: `sweep`, `worker-<n>`, or `accel`.
+    /// Who is reporting: `sweep`, `serve`, or `worker-<n>`.
     pub source: String,
     /// What it is working on (cell id, workload name, or empty).
     pub label: String,
@@ -104,6 +102,9 @@ pub struct StatusEntry {
     pub total: u64,
     /// Instructions retired on the pipeline so far.
     pub retired: u64,
+    /// Instructions the array executed so far (version 4; 0 when read
+    /// from an older file).
+    pub array_retired: u64,
     /// Simulated cycles so far.
     pub sim_cycles: u64,
     /// Array invocations so far.
@@ -140,6 +141,7 @@ impl StatusEntry {
         o.field_u64("done", self.done);
         o.field_u64("total", self.total);
         o.field_u64("retired", self.retired);
+        o.field_u64("array_retired", self.array_retired);
         o.field_u64("sim_cycles", self.sim_cycles);
         o.field_u64("invocations", self.invocations);
         o.field_u64("rcache_hits", self.rcache_hits);
@@ -181,6 +183,8 @@ impl StatusEntry {
             done: get_u64("done")?,
             total: get_u64("total")?,
             retired: get_u64("retired")?,
+            // Version-4 field: default when reading an older file.
+            array_retired: get_u64_or("array_retired", 0),
             sim_cycles: get_u64("sim_cycles")?,
             invocations: get_u64("invocations")?,
             rcache_hits: get_u64("rcache_hits")?,
@@ -278,97 +282,6 @@ pub fn write_status(path: &Path, status: &StatusFile) -> io::Result<()> {
     result
 }
 
-/// A probe that folds the event stream into a live [`StatusEntry`] and
-/// hands it to a publish callback every `interval_cycles` simulated
-/// cycles (plus once at [`finish`](Probe::finish)) — the glue between
-/// an instrumented run and the status file `dim top` tails.
-///
-/// The callback decides where the entry goes: a single-entry
-/// [`StatusFile`] for `dim accel`, a slot on the sweep's shared worker
-/// board for `dim sweep`. Publishing is host-side output; the probe is
-/// cycle-neutral like every other sink.
-#[derive(Debug)]
-pub struct StatusPulse<F: FnMut(&StatusEntry)> {
-    entry: StatusEntry,
-    interval: u64,
-    last_publish: u64,
-    clock: SharedClock,
-    started_nanos: u64,
-    publish: F,
-}
-
-impl<F: FnMut(&StatusEntry)> StatusPulse<F> {
-    /// A pulse starting from `entry` (its identity fields — source,
-    /// label, state, done/total — are preserved verbatim), publishing
-    /// every `interval_cycles` (0 = only at finish). Host time comes
-    /// from a fresh real clock; use
-    /// [`with_clock`](StatusPulse::with_clock) to inject one.
-    pub fn new(entry: StatusEntry, interval_cycles: u64, publish: F) -> StatusPulse<F> {
-        StatusPulse::with_clock(entry, interval_cycles, MonotonicClock::shared(), publish)
-    }
-
-    /// Like [`new`](StatusPulse::new) with an injected clock, so hosts
-    /// that already carry a [`SharedClock`] (serve, sweep) report
-    /// `host_nanos` on the same timebase as their spans — and tests
-    /// can drive a deterministic fake.
-    pub fn with_clock(
-        entry: StatusEntry,
-        interval_cycles: u64,
-        clock: SharedClock,
-        publish: F,
-    ) -> StatusPulse<F> {
-        let started_nanos = clock.now_nanos();
-        StatusPulse {
-            entry,
-            interval: interval_cycles,
-            last_publish: 0,
-            clock,
-            started_nanos,
-            publish,
-        }
-    }
-
-    /// The entry as accumulated so far.
-    pub fn entry(&self) -> &StatusEntry {
-        &self.entry
-    }
-
-    fn publish_now(&mut self) {
-        self.entry.host_nanos = self.clock.now_nanos().saturating_sub(self.started_nanos);
-        (self.publish)(&self.entry);
-        self.last_publish = self.entry.sim_cycles;
-    }
-}
-
-impl<F: FnMut(&StatusEntry)> Probe for StatusPulse<F> {
-    fn emit(&mut self, event: ProbeEvent) {
-        self.entry.sim_cycles += event.cycles();
-        match event {
-            ProbeEvent::Retire { .. } => self.entry.retired += 1,
-            ProbeEvent::RcacheHit { .. } => self.entry.rcache_hits += 1,
-            ProbeEvent::RcacheMiss { .. } => self.entry.rcache_misses += 1,
-            ProbeEvent::ArrayInvoke(inv) => {
-                self.entry.invocations += 1;
-                if inv.misspeculated {
-                    self.entry.misspeculations += 1;
-                }
-            }
-            ProbeEvent::Fabric(fab) => {
-                self.entry.fabric_busy_thirds += fab.busy_thirds();
-                self.entry.fabric_capacity_thirds += fab.capacity_thirds as u64;
-            }
-            _ => {}
-        }
-        if self.interval > 0 && self.entry.sim_cycles - self.last_publish >= self.interval {
-            self.publish_now();
-        }
-    }
-
-    fn finish(&mut self) {
-        self.publish_now();
-    }
-}
-
 /// Reads and verifies the status file at `path`.
 pub fn read_status(path: &Path) -> Result<StatusFile, StatusError> {
     StatusFile::parse(&fs::read_to_string(path)?)
@@ -389,6 +302,7 @@ mod tests {
                     done: 7,
                     total: 18,
                     retired: 123_456,
+                    array_retired: 654_321,
                     sim_cycles: 234_567,
                     invocations: 42,
                     rcache_hits: 40,
@@ -441,8 +355,8 @@ mod tests {
         ));
     }
 
-    /// Version-2 files (no `latency_p99_micros`/`queue_depth`) still
-    /// read, with the new fields defaulting to 0.
+    /// Version-2 files (no `latency_p99_micros`/`queue_depth`, no
+    /// `array_retired`) still read, with the new fields defaulting to 0.
     #[test]
     fn reads_version_2_files_with_defaults() {
         let body = "{\"source\":\"serve\",\"label\":\"\",\"state\":\"running\",\"done\":1,\
@@ -457,24 +371,8 @@ mod tests {
         let parsed = StatusFile::parse(&text).expect("v2 parses");
         assert_eq!(parsed.entries[0].latency_p99_micros, 0);
         assert_eq!(parsed.entries[0].queue_depth, 0);
+        assert_eq!(parsed.entries[0].array_retired, 0);
         assert_eq!(parsed.entries[0].fabric_capacity_thirds, 3);
-    }
-
-    #[test]
-    fn pulse_host_nanos_follows_injected_clock() {
-        use crate::clock::FakeClock;
-        use std::sync::Arc;
-        let clock = FakeClock::shared(500);
-        let published = std::cell::RefCell::new(Vec::new());
-        let mut pulse = StatusPulse::with_clock(
-            StatusEntry::default(),
-            0,
-            Arc::clone(&clock) as SharedClock,
-            |e: &StatusEntry| published.borrow_mut().push(e.clone()),
-        );
-        clock.advance(1_234);
-        pulse.finish();
-        assert_eq!(published.borrow()[0].host_nanos, 1_234);
     }
 
     #[test]
@@ -521,43 +419,6 @@ mod tests {
         write_status(&path, &second).expect("replaces");
         assert_eq!(read_status(&path).expect("re-reads"), second);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pulse_accumulates_and_publishes_on_interval_and_finish() {
-        use crate::event::RetireKind;
-        let published = std::cell::RefCell::new(Vec::new());
-        let entry = StatusEntry {
-            source: "accel".into(),
-            label: "crc32".into(),
-            state: "running".into(),
-            ..Default::default()
-        };
-        let mut pulse = StatusPulse::new(entry, 5, |e: &StatusEntry| {
-            published.borrow_mut().push(e.clone());
-        });
-        for i in 0..4u32 {
-            pulse.emit(ProbeEvent::Retire {
-                pc: i * 4,
-                kind: RetireKind::Alu,
-                base_cycles: 2,
-                i_stall: 0,
-                d_stall: 0,
-                ends_block: false,
-            });
-        }
-        pulse.emit(ProbeEvent::RcacheHit { pc: 0, len: 4 });
-        pulse.emit(ProbeEvent::RcacheMiss { pc: 4 });
-        pulse.finish();
-        let seen = published.borrow();
-        // 8 cycles crosses the 5-cycle interval once, finish adds one.
-        assert_eq!(seen.len(), 2);
-        let last = seen.last().unwrap();
-        assert_eq!(last.retired, 4);
-        assert_eq!(last.sim_cycles, 8);
-        assert_eq!(last.rcache_hits, 1);
-        assert_eq!(last.rcache_misses, 1);
-        assert_eq!(last.source, "accel");
     }
 
     #[test]

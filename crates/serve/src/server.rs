@@ -9,8 +9,9 @@
 //! the server never buffers without bound. The dispatcher drains the
 //! queue in waves and runs each wave on `dim_sweep::execute_jobs`; each
 //! accel or explain request is one [`run_checked`] run, the same checked
-//! run as a sweep cell (warm start, flight recorder and watchdog, status
-//! pulse, halt and validate checks). Workers send replies back
+//! run as a sweep cell (warm start, watchdog, status from the system's
+//! counters, halt, counter-law and validate checks, and a re-execution
+//! under the flight recorder when it fails). Workers send replies back
 //! through per-request channels; the connection thread writes the reply
 //! batch in request order.
 //!
@@ -68,10 +69,11 @@ pub struct ServeOptions {
     pub shard_dir: Option<PathBuf>,
     /// Directory for `status.dimstat` and `flight/` failure dumps.
     pub out_dir: Option<PathBuf>,
-    /// Flight-recorder window per worker (0 disables the black box).
+    /// Flight-recorder window of a failed request's re-execution (0
+    /// disables the watchdog and the re-execution).
     pub flight_capacity: usize,
     /// Status publish cadence in simulated cycles; 0 keeps the default
-    /// pulse cadence.
+    /// cadence.
     pub telemetry_interval: u64,
     /// Wall-clock span capacity (0 disables span tracing). Spans dump
     /// to `out_dir/spans.dimspan` at drain.
@@ -491,7 +493,7 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
         warm: warm.as_deref(),
         flight_capacity: state.opts.flight_capacity,
         explain: request.command == Command::Explain,
-        pulse_interval: state.opts.telemetry_interval,
+        status_interval: state.opts.telemetry_interval,
         clock: &state.clock,
         board: (&state.board, worker),
         spans,
@@ -579,6 +581,11 @@ fn dispatcher(state: &Arc<ServerState>) {
                     .wait_timeout(queue, Duration::from_millis(200))
                     .expect("queue lock");
                 queue = guard;
+                if queue.is_empty() {
+                    // Idle: no update is coming to write what the
+                    // status throttle held back.
+                    state.board.flush();
+                }
             }
             let take = queue.len().min(state.opts.jobs.max(1) * 4);
             let wave = queue.drain(..take).collect();
@@ -727,7 +734,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
         opts: opts.clone(),
         spans: (opts.span_capacity > 0)
             .then(|| SpanSheet::new(Arc::clone(&clock), opts.span_capacity)),
-        clock,
+        clock: Arc::clone(&clock),
         latencies: Mutex::new(LatencyRing::default()),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
@@ -745,6 +752,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
                 ..Default::default()
             },
             opts.jobs,
+            clock,
         ),
         submitted: AtomicU64::new(0),
         completed: AtomicU64::new(0),
@@ -795,7 +803,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     summary.completed = state.completed.load(Ordering::SeqCst);
     summary.failed = state.failed.load(Ordering::SeqCst);
     summary.busy_rejected = state.busy_rejected.load(Ordering::SeqCst);
-    state.board.update(|entries| {
+    state.board.finish(|entries| {
         entries[0].state = "done".into();
         for entry in entries.iter_mut().skip(1) {
             entry.state = "done".into();

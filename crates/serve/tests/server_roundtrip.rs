@@ -7,11 +7,12 @@ use dim_cgra::ArrayShape;
 use dim_core::{SnapshotContents, System, SystemConfig};
 use dim_mips_sim::{HaltReason, Machine};
 use dim_obs::parse_json;
+use dim_obs::status::{read_status, STATUS_FILE_NAME};
 use dim_serve::{serve, submit, Command, Reply, Request, ServeOptions, ServeSummary};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -416,6 +417,35 @@ fn every_request_yields_one_complete_span_tree() {
         !file.attrs.is_empty(),
         "no host-split attribution recorded at all"
     );
+}
+
+#[test]
+fn an_idle_daemons_status_file_catches_up() {
+    let dir = TempDir::new("idle-status");
+    let mut opts = ServeOptions::new(dir.path().join("dim.sock"));
+    opts.out_dir = Some(dir.path().to_path_buf());
+    let status = dir.path().join(STATUS_FILE_NAME);
+    let ((), summary) = with_server(opts, |socket| {
+        let replies = submit(socket, &[accel_request("crc32", false)]).expect("submit");
+        ok_json(&replies[0]);
+        // The request's own board updates can all fall inside one
+        // 100-ms rewrite window; the idle daemon must still write them.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let file = read_status(&status).expect("status file");
+            let idle = file.entries[1..].iter().all(|e| e.state == "idle");
+            if file.entries[0].done == 1 && idle {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "status file still stale while idle: {:?}",
+                file.entries
+            );
+            thread::sleep(Duration::from_millis(20));
+        }
+    });
+    assert_eq!(summary.completed, 1);
 }
 
 #[test]

@@ -18,7 +18,7 @@ use crate::spec::{policy_key, CellSpec, SweepSpec};
 use dim_core::fnv1a64;
 use dim_obs::status::{StatusEntry, STATUS_FILE_NAME};
 use dim_obs::{MonotonicClock, ObjectWriter, SharedClock, SpanId, SpanSheet, SPAN_FILE_NAME};
-use dim_workloads::run_baseline;
+use dim_workloads::{run_baseline, BuiltBenchmark};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -76,14 +76,17 @@ pub struct SweepOptions {
     /// files it sits outside the determinism contract (`cells/` and
     /// `report.txt` stay byte-identical with or without it).
     pub explain: bool,
-    /// Per-worker flight-recorder window (events). Every cell runs with
-    /// an always-on recorder plus the invariant watchdog; on a cell
-    /// failure, panic, or watchdog trip the retained window is dumped
-    /// to `flight/<id>.jsonl`. 0 disables both. Probes are
-    /// cycle-neutral, so cell results are byte-identical either way.
+    /// Flight-recorder window (events) for failed cells. Every cell
+    /// runs under the invariant watchdog; a cell that fails (panic,
+    /// step limit, simulation error, watchdog trip, broken counter law
+    /// or validation mismatch) is executed again from the same inputs
+    /// under the recorder, and its window is dumped to
+    /// `flight/<id>.jsonl`. 0 disables the watchdog and the
+    /// re-execution. Probes are cycle-neutral, so cell results are
+    /// byte-identical either way.
     pub flight_capacity: usize,
     /// Live-status publish interval in simulated cycles. 0 keeps the
-    /// default pulse cadence.
+    /// default cadence.
     pub telemetry_interval: u64,
 }
 
@@ -91,8 +94,8 @@ pub struct SweepOptions {
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
 impl SweepOptions {
-    /// Serial execution into `out_dir` with spec-default warm behaviour
-    /// and the always-on flight recorder at its default window.
+    /// Serial execution into `out_dir` with spec-default warm behaviour,
+    /// the watchdog on and the default flight window for failures.
     pub fn new(out_dir: PathBuf) -> SweepOptions {
         SweepOptions {
             out_dir,
@@ -156,20 +159,18 @@ struct CellCtx<'a> {
     spans: &'a SpanSheet,
 }
 
-/// Runs one cell on `worker` under the span `root` and writes its
-/// snapshot, `heat/` and `explain/` files; returns its deterministic
-/// result JSON. A failed run's flight window goes to
-/// `flight/<id>.jsonl`.
+/// Runs one cell of the workload `built` on `worker` under the span
+/// `root` and writes its snapshot, `heat/` and `explain/` files;
+/// returns its deterministic result JSON. A failed run's flight window
+/// goes to `flight/<id>.jsonl`.
 fn run_cell(
     cell: &CellSpec,
+    built: &BuiltBenchmark,
     baseline_cycles: u64,
     ctx: &CellCtx<'_>,
     worker: usize,
     root: SpanId,
 ) -> Result<String, String> {
-    let spec = dim_workloads::by_name(&cell.workload)
-        .ok_or_else(|| format!("unknown workload `{}`", cell.workload))?;
-    let built = (spec.build)(cell.scale);
     let out_dir = &ctx.opts.out_dir;
     let snapshot_path = cell_snapshot_path(out_dir, &cell.id);
     let warm = if ctx.warm {
@@ -182,13 +183,13 @@ fn run_cell(
         explanation,
     } = run_checked(&RunSpec {
         label: &cell.id,
-        built: &built,
+        built,
         config: cell.system_config(),
         max_steps: built.max_steps,
         warm: warm.as_deref(),
         flight_capacity: ctx.opts.flight_capacity,
         explain: ctx.opts.explain,
-        pulse_interval: ctx.opts.telemetry_interval,
+        status_interval: ctx.opts.telemetry_interval,
         clock: ctx.clock,
         board: (ctx.board, worker),
         spans: Some((ctx.spans, root)),
@@ -290,18 +291,20 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
         pending.truncate(limit);
     }
 
-    // Baselines are shared per workload (the grid only varies
-    // accelerator parameters), so run them once, serially, up front.
-    let mut baselines: HashMap<&str, u64> = HashMap::new();
+    // The grid only varies accelerator parameters, so each workload is
+    // built and its baseline run once, serially, up front; every cell
+    // of the workload borrows that build.
+    let mut workloads: HashMap<&str, (BuiltBenchmark, u64)> = HashMap::new();
     for cell in &pending {
-        if !baselines.contains_key(cell.workload.as_str()) {
+        if !workloads.contains_key(cell.workload.as_str()) {
             let spec = dim_workloads::by_name(&cell.workload).expect("validated at parse");
             let built = (spec.build)(cell.scale);
             let machine = run_baseline(&built).map_err(|e| SweepError::Cell {
                 id: format!("{}-baseline", cell.workload),
                 reason: e.to_string(),
             })?;
-            baselines.insert(cell.workload.as_str(), machine.stats.cycles);
+            let cycles = machine.stats.cycles;
+            workloads.insert(cell.workload.as_str(), (built, cycles));
         }
     }
 
@@ -311,6 +314,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     // file itself is stable apart from the times.
     let cell_wall: Mutex<Vec<(String, u64)>> = Mutex::new(Vec::new());
     let threads = opts.jobs.max(1);
+    let clock: SharedClock = MonotonicClock::shared();
     let board = StatusBoard::new(
         Some(out_dir.join(STATUS_FILE_NAME)),
         StatusEntry {
@@ -322,12 +326,12 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
             ..Default::default()
         },
         threads,
+        Arc::clone(&clock),
     );
     board.update(|_| {});
     // Wall-clock span tracing: one root per cell (tenant = workload,
     // seq = grid index) with warm_start / simulate / validate / persist
     // children. Sized so a full run never drops: 5 spans per cell.
-    let clock: SharedClock = MonotonicClock::shared();
     let spans = SpanSheet::new(Arc::clone(&clock), pending.len() * 5 + 8);
     let ctx = CellCtx {
         opts,
@@ -341,7 +345,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
         .iter()
         .map(|cell| {
             let cell = (*cell).clone();
-            let baseline = baselines[cell.workload.as_str()];
+            let (built, baseline) = &workloads[cell.workload.as_str()];
             let journal = &journal;
             let cell_wall = &cell_wall;
             let ctx = &ctx;
@@ -350,7 +354,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
                 let root = ctx
                     .spans
                     .begin_root("cell", &cell.workload, cell.index as u64);
-                let result = run_cell(&cell, baseline, ctx, w, root);
+                let result = run_cell(&cell, built, *baseline, ctx, w, root);
                 ctx.spans.end(root);
                 let json = result.map_err(|reason| {
                     ctx.board.update(|entries| {
@@ -366,8 +370,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
                 atomic_write(&path, json.as_bytes())?;
                 journal.record(&cell.id, fnv1a64(json.as_bytes()))?;
                 let cell_nanos = ctx.clock.now_nanos().saturating_sub(cell_started);
-                // The run's status pulse left the cell's final counters
-                // in this worker's entry; fold them into the aggregate.
+                // The run left the cell's final counters in this
+                // worker's entry; fold them into the aggregate.
                 ctx.board.update(|entries| {
                     let (agg, workers) = entries.split_first_mut().expect("aggregate entry");
                     let worker = &mut workers[w];
@@ -376,6 +380,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
                     worker.host_nanos = cell_nanos;
                     agg.done += 1;
                     agg.retired += worker.retired;
+                    agg.array_retired += worker.array_retired;
                     agg.sim_cycles += worker.sim_cycles;
                     agg.invocations += worker.invocations;
                     agg.rcache_hits += worker.rcache_hits;
@@ -404,7 +409,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
         }
     }
     let final_state = if failure.is_some() { "failed" } else { "done" };
-    board.update(|entries| {
+    board.finish(|entries| {
         entries[0].state = final_state.into();
         entries[0].host_nanos = clock.now_nanos().saturating_sub(start_nanos);
     });

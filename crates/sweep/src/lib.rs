@@ -14,10 +14,12 @@
 //! snapshot (see [`dim_core::SNAPSHOT_MAGIC`]) so later sweeps over the
 //! same grid skip the translation warm-up.
 //!
-//! Every cell is one [`run_checked`] run: warm start, simulation under
-//! the flight recorder, watchdog and status pulse, then the halt,
-//! watchdog and validation checks. `dim serve` runs its requests
-//! through the same function.
+//! Every cell is one [`run_checked`] run: warm start, simulation in
+//! status-publishing chunks under the watchdog, then the halt,
+//! watchdog, counter-law and validation checks. A failed run is
+//! executed again from the same inputs under the flight recorder to
+//! rebuild its flight window. `dim serve` runs its requests through
+//! the same function.
 //!
 //! ```
 //! use dim_sweep::{SweepSpec, SweepOptions, run_sweep};
@@ -53,7 +55,7 @@ pub use fsio::atomic_write;
 pub use journal::Journal;
 pub use pool::{execute_jobs, PoolStats};
 pub use run::{
-    flight_guard, run_checked, run_plain, FinishedRun, RunFailure, RunSpec, StatusBoard,
-    DEFAULT_PULSE_CYCLES,
+    counter_laws, flight_guard, run_checked, run_plain, FinishedRun, RunFailure, RunSpec,
+    StatusBoard, DEFAULT_STATUS_CYCLES,
 };
 pub use spec::{CellSpec, SpecError, SweepSpec};

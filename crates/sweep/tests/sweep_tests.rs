@@ -385,6 +385,66 @@ fn status_file_is_published_and_valid_but_outside_the_contract() {
     fs::remove_dir_all(&bare_dir).ok();
 }
 
+/// The board reads every run's counters from its system, so a
+/// finished sweep's aggregate is the sum of what its cells' systems
+/// count, the array's instructions included.
+#[test]
+fn a_finished_sweeps_aggregate_is_the_sum_of_its_cells() {
+    use dim_core::System;
+    use dim_mips_sim::Machine;
+    use dim_obs::status::{read_status, StatusEntry, STATUS_FILE_NAME};
+
+    let spec = SweepSpec::parse(
+        "workloads = crc32, quicksort\n\
+         scale = tiny\n\
+         shapes = 1, 3\n\
+         ideal = on\n\
+         slots = 4, 64\n\
+         speculation = on, off\n",
+    )
+    .unwrap();
+    let dir = scratch("aggregate");
+    let mut opts = SweepOptions::new(dir.clone());
+    opts.jobs = 2;
+    assert!(run_sweep(&spec, &opts).unwrap().complete);
+    let agg = read_status(&dir.join(STATUS_FILE_NAME)).unwrap().entries[0].clone();
+
+    let mut sum = StatusEntry::default();
+    let mut instructions = 0;
+    for cell in spec.expand() {
+        let built = (dim_workloads::by_name(&cell.workload).unwrap().build)(cell.scale);
+        let mut system = System::new(Machine::load(&built.program), cell.system_config());
+        system.run(built.max_steps).unwrap();
+        let (hits, misses) = system.cache().hit_miss();
+        instructions += system.total_instructions();
+        sum.retired += system.machine().stats.instructions;
+        sum.array_retired += system.stats().array_instructions;
+        sum.sim_cycles += system.total_cycles();
+        sum.invocations += system.stats().array_invocations;
+        sum.misspeculations += system.stats().misspeculations;
+        sum.rcache_hits += hits;
+        sum.rcache_misses += misses;
+        sum.fabric_busy_thirds += system.fabric_heat().total_busy_thirds();
+        sum.fabric_capacity_thirds += system.fabric_heat().total_capacity_thirds();
+    }
+    assert_eq!(agg.retired + agg.array_retired, instructions);
+    assert!(agg.array_retired > 0);
+    assert_eq!(agg.done, spec.expand().len() as u64);
+    assert_eq!(
+        StatusEntry {
+            source: agg.source.clone(),
+            label: agg.label.clone(),
+            state: agg.state.clone(),
+            done: agg.done,
+            total: agg.total,
+            host_nanos: agg.host_nanos,
+            ..sum
+        },
+        agg
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn watchdog_stays_quiet_across_warm_resume_sweeps() {
     // Warm-start snapshots seed the watchdog's resident set; a second
