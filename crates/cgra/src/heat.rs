@@ -1,11 +1,16 @@
 //! Fabric utilization accounting ("heat").
 //!
 //! [`FabricHeat`] is an allocation-free-in-steady-state accumulator of
-//! per-row and per-unit-class activity across array invocations. It is
-//! fed once per invocation by [`FabricHeat::record`], which derives a
-//! [`FabricSample`] from the same row state and timing queries the
-//! cycle model charges for, so the accounting reconciles *exactly* with
-//! `exec_cycles`:
+//! per-row and per-unit-class activity across array invocations.
+//! [`FabricHeat::record`] derives one invocation's [`FabricSample`] from
+//! the same row state and timing queries the cycle model charges for,
+//! so the accounting reconciles *exactly* with `exec_cycles`. The
+//! coupled system records each (configuration, stop segment) once, into
+//! a fresh accumulator frozen with the configuration, and adds it per
+//! hit: its run loop counts the hits and folds each count in with
+//! [`FabricHeat::merge_times`] when a tally slot is reused and when the
+//! run call returns or unwinds, so the run's accumulator is exact
+//! between calls.
 //!
 //! **Conservation law.** For every invocation executed to `upto_depth`:
 //!
@@ -71,15 +76,20 @@ pub struct RowHeat {
     pub squashed: u64,
 }
 
+/// `acc + times × value`, saturating like every heat counter.
+fn add_times(acc: &mut u64, value: u64, times: u64) {
+    *acc = acc.saturating_add(value.saturating_mul(times));
+}
+
 impl RowHeat {
-    fn merge(&mut self, other: &RowHeat) {
-        self.traversals = self.traversals.saturating_add(other.traversals);
-        self.active_thirds = self.active_thirds.saturating_add(other.active_thirds);
+    fn merge_times(&mut self, other: &RowHeat, times: u64) {
+        add_times(&mut self.traversals, other.traversals, times);
+        add_times(&mut self.active_thirds, other.active_thirds, times);
         for c in 0..UNIT_CLASSES {
-            self.busy_thirds[c] = self.busy_thirds[c].saturating_add(other.busy_thirds[c]);
-            self.issued[c] = self.issued[c].saturating_add(other.issued[c]);
+            add_times(&mut self.busy_thirds[c], other.busy_thirds[c], times);
+            add_times(&mut self.issued[c], other.issued[c], times);
         }
-        self.squashed = self.squashed.saturating_add(other.squashed);
+        add_times(&mut self.squashed, other.squashed, times);
     }
 }
 
@@ -289,24 +299,38 @@ impl FabricHeat {
     /// Folds `other` into `self` (sweep shard aggregation). Saturating,
     /// like `DimStats::merge`.
     pub fn merge(&mut self, other: &FabricHeat) {
+        self.merge_times(other, 1);
+    }
+
+    /// Folds `other` into `self` `times` times: equal to `times` calls of
+    /// [`merge`](FabricHeat::merge), each counter gaining `times ×` its
+    /// `other` value (saturating both ways). The run loop folds its
+    /// per-(configuration, stop segment) hit tally this way.
+    pub fn merge_times(&mut self, other: &FabricHeat, times: u64) {
+        if times == 0 {
+            return;
+        }
         for (row, heat) in other.rows.iter().enumerate() {
-            self.row_mut(row).merge(heat);
+            self.row_mut(row).merge_times(heat, times);
         }
-        self.overflow.merge(&other.overflow);
+        self.overflow.merge_times(&other.overflow, times);
         self.max_row = self.max_row.max(other.max_row);
-        self.invocations = self.invocations.saturating_add(other.invocations);
-        self.exec_thirds = self.exec_thirds.saturating_add(other.exec_thirds);
-        self.exec_cycles = self.exec_cycles.saturating_add(other.exec_cycles);
-        self.residual_cycles = self.residual_cycles.saturating_add(other.residual_cycles);
+        add_times(&mut self.invocations, other.invocations, times);
+        add_times(&mut self.exec_thirds, other.exec_thirds, times);
+        add_times(&mut self.exec_cycles, other.exec_cycles, times);
+        add_times(&mut self.residual_cycles, other.residual_cycles, times);
         for c in 0..UNIT_CLASSES {
-            self.busy_thirds[c] = self.busy_thirds[c].saturating_add(other.busy_thirds[c]);
-            self.capacity_thirds[c] =
-                self.capacity_thirds[c].saturating_add(other.capacity_thirds[c]);
-            self.issued_ops[c] = self.issued_ops[c].saturating_add(other.issued_ops[c]);
+            add_times(&mut self.busy_thirds[c], other.busy_thirds[c], times);
+            add_times(
+                &mut self.capacity_thirds[c],
+                other.capacity_thirds[c],
+                times,
+            );
+            add_times(&mut self.issued_ops[c], other.issued_ops[c], times);
         }
-        self.squashed_ops = self.squashed_ops.saturating_add(other.squashed_ops);
-        self.writeback_writes = self.writeback_writes.saturating_add(other.writeback_writes);
-        self.writeback_slots = self.writeback_slots.saturating_add(other.writeback_slots);
+        add_times(&mut self.squashed_ops, other.squashed_ops, times);
+        add_times(&mut self.writeback_writes, other.writeback_writes, times);
+        add_times(&mut self.writeback_slots, other.writeback_slots, times);
     }
 
     /// Total busy unit-thirds across classes.
@@ -422,6 +446,55 @@ mod tests {
         b2.record(&c, &timing, 0, 0);
         b1.merge(&b2);
         assert_eq!(a, b1);
+    }
+
+    #[test]
+    fn merge_times_equals_repeated_merge() {
+        let timing = ArrayTiming::default();
+        let c = sample_config(ArrayShape::config1());
+        let mut one = FabricHeat::new();
+        one.record(&c, &timing, 0, 3);
+        for times in [0u64, 1, 2, 7] {
+            let mut base = FabricHeat::new();
+            base.record(&c, &timing, 0, 1);
+            let mut folded = base.clone();
+            folded.merge_times(&one, times);
+            let mut repeated = base;
+            for _ in 0..times {
+                repeated.merge(&one);
+            }
+            assert_eq!(folded, repeated, "times = {times}");
+        }
+        // Zero times leaves even an empty accumulator untouched: no rows
+        // appear and `max_row` stays put.
+        let mut empty = FabricHeat::new();
+        empty.merge_times(&one, 0);
+        assert_eq!(empty, FabricHeat::new());
+    }
+
+    #[test]
+    fn merge_times_saturates_like_repeated_merge() {
+        let timing = ArrayTiming::default();
+        let c = sample_config(ArrayShape::config1());
+        let mut one = FabricHeat::new();
+        one.record(&c, &timing, 0, 0);
+        one.residual_cycles = u64::MAX / 2;
+        one.row_mut(1).active_thirds = u64::MAX / 3;
+        let mut folded = FabricHeat::new();
+        folded.residual_cycles = 5;
+        let mut repeated = folded.clone();
+        folded.merge_times(&one, 3);
+        for _ in 0..3 {
+            repeated.merge(&one);
+        }
+        assert_eq!(folded, repeated);
+        assert_eq!(folded.residual_cycles, u64::MAX);
+        assert_eq!(folded.rows()[1].active_thirds, u64::MAX);
+        // A multiplier past u64 saturates too.
+        let mut huge = FabricHeat::new();
+        huge.merge_times(&one, u64::MAX);
+        assert_eq!(huge.invocations, u64::MAX);
+        assert_eq!(huge.max_row, one.max_row);
     }
 
     #[test]

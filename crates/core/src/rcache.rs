@@ -47,7 +47,8 @@ pub struct StopCost {
     /// `residual_cycles`.
     pub fabric: FabricUtil,
     /// The fresh accumulator that same call filled: one invocation's
-    /// contribution, which a hit adds with [`FabricHeat::merge`].
+    /// contribution. The run loop counts the hits that stop here and
+    /// adds it once per hit with [`FabricHeat::merge_times`].
     pub heat: FabricHeat,
 }
 

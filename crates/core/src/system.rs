@@ -20,7 +20,8 @@ use dim_mips_sim::{HaltReason, Machine, SimError};
 use dim_obs::{
     ArrayInvoke, FabricUtil, HostBucket, HostSplit, NullProbe, Probe, ProbeEvent, SharedClock,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// All accelerator parameters for one experiment point.
@@ -237,7 +238,8 @@ impl System {
     /// Always-on fabric utilization accounting (`dim heat`). Its
     /// `exec_cycles + residual_cycles` reconciles exactly with
     /// [`cycle_breakdown`](System::cycle_breakdown)'s array-execution
-    /// span.
+    /// span. Exact between [`run`](System::run) calls: a call tallies
+    /// its hits and folds them in before it returns or unwinds.
     pub fn fabric_heat(&self) -> &FabricHeat {
         &self.fabric
     }
@@ -328,6 +330,13 @@ impl System {
     /// The caller keeps ownership of the probe and is responsible for
     /// calling [`Probe::finish`] when the whole run is over.
     ///
+    /// The call counts its array hits per (configuration, stop segment)
+    /// in a 64-slot tally and adds their fabric heat when a slot is
+    /// reused and when the call ends, returning or unwinding, so
+    /// [`fabric_heat`](System::fabric_heat) is exact whenever the caller
+    /// can read it; a probe sees every event before its hit's heat is
+    /// folded. Stats and cycle spans are charged per hit.
+    ///
     /// # Errors
     ///
     /// Propagates the first [`SimError`] from either the pipeline or the
@@ -353,11 +362,28 @@ impl System {
         Ok(result)
     }
 
+    /// Runs the loop with a fresh [`HeatTally`], folding it into the
+    /// fabric heat on every exit, an unwinding panic included.
     fn run_loop<P: Probe, S: SplitHooks>(
         &mut self,
         max_instructions: u64,
         probe: &mut P,
         split: &mut S,
+    ) -> Result<HaltReason, SimError> {
+        let mut tally = HeatTally::new();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.run_tallied(max_instructions, probe, split, &mut tally)
+        }));
+        tally.fold_into(&mut self.fabric, &self.config.timing);
+        result.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
+    fn run_tallied<P: Probe, S: SplitHooks>(
+        &mut self,
+        max_instructions: u64,
+        probe: &mut P,
+        split: &mut S,
+        tally: &mut HeatTally,
     ) -> Result<HaltReason, SimError> {
         let mut retired: u64 = 0;
         let result = loop {
@@ -393,7 +419,7 @@ impl System {
                 split.exit(HostBucket::Translate);
                 retired += covered as u64;
                 split.enter(HostBucket::ArrayReplay);
-                let exec = self.execute_config(&record, probe);
+                let exec = self.execute_config(&record, tally, probe);
                 split.exit(HostBucket::ArrayReplay);
                 if let Err(e) = exec {
                     break Err(e);
@@ -488,76 +514,79 @@ impl System {
         }
     }
 
-    /// Snapshots the state the dataflow cross-check needs.
-    fn entry_context(&self) -> dim_cgra::EntryContext {
-        let mut regs = [0u32; 32];
-        for r in dim_mips::Reg::all() {
-            regs[r.index()] = self.machine.cpu.reg(r);
-        }
-        dim_cgra::EntryContext {
-            regs,
-            hi: self.machine.cpu.hi,
-            lo: self.machine.cpu.lo,
-        }
-    }
-
-    /// Debug cross-check: dataflow-executes `config` from the captured
-    /// entry state and compares against the replayed (now current)
-    /// architectural state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any divergence — that is the point.
-    fn cross_check(&self, config: &Configuration, mut entry: dim_cgra::EntryContext) {
+    /// Dataflow-executes `config` (`dim_cgra::execute_dataflow`) from the
+    /// current architectural state, before replay touches it. Stores go
+    /// to a buffer, so memory is left as replay will find it.
+    fn dataflow_check(&self, config: &Configuration) -> DataflowCheck {
         struct Bus<'m> {
             mem: &'m dim_mips_sim::Memory,
-            writes: std::collections::HashMap<u32, u8>,
+            stores: BTreeMap<u32, u8>,
         }
         impl dim_cgra::ExecMemory for Bus<'_> {
             fn read_u8(&self, addr: u32) -> u8 {
-                *self.writes.get(&addr).unwrap_or(&self.mem.read_u8(addr))
+                *self.stores.get(&addr).unwrap_or(&self.mem.read_u8(addr))
             }
             fn write_u8(&mut self, addr: u32, value: u8) {
-                self.writes.insert(addr, value);
+                self.stores.insert(addr, value);
             }
         }
-        // Replay already ran, so memory holds post-state; the dataflow
-        // pass reads the same bytes it would have seen only where the
-        // config itself wrote them first — which the store buffer handles
-        // — so feeding post-state memory is only sound for configs whose
-        // loads never alias their own stores' pre-state. Restrict the
-        // check accordingly: skip configs that both load and store.
-        if config.load_count() > 0 && config.store_count() > 0 {
-            return;
+        let cpu = &self.machine.cpu;
+        let mut regs = [0u32; 32];
+        for r in dim_mips::Reg::all() {
+            regs[r.index()] = cpu.reg(r);
         }
+        let mut context = dim_cgra::EntryContext {
+            regs,
+            hi: cpu.hi,
+            lo: cpu.lo,
+        };
         let mut bus = Bus {
             mem: &self.machine.mem,
-            writes: std::collections::HashMap::new(),
+            stores: BTreeMap::new(),
         };
-        let outcome = dim_cgra::execute_dataflow(config, &mut entry, &mut bus)
-            .expect("replayed configuration must dataflow-execute");
+        let outcome = dim_cgra::execute_dataflow(config, &mut context, &mut bus);
+        DataflowCheck {
+            outcome,
+            context,
+            stores: bus.stores,
+        }
+    }
+
+    /// Debug cross-check: compares the dataflow pass run before replay
+    /// with the state replay left — exit PC, registers, HI/LO and every
+    /// byte the dataflow pass stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any divergence — that is the point — including a
+    /// configuration that replayed but does not dataflow-execute.
+    fn cross_check(&self, config: &Configuration, check: DataflowCheck) {
+        let entry_pc = config.entry_pc;
+        let outcome = check.outcome.unwrap_or_else(|e| {
+            panic!(
+                "cross-check: config @ {entry_pc:#x} replayed but does not dataflow-execute: {e}"
+            )
+        });
+        let cpu = &self.machine.cpu;
         assert_eq!(
-            outcome.exit_pc, self.machine.cpu.pc,
-            "cross-check: exit PC diverged for config @ {:#x}",
-            config.entry_pc
+            outcome.exit_pc, cpu.pc,
+            "cross-check: exit PC diverged for config @ {entry_pc:#x}"
         );
         for r in dim_mips::Reg::all() {
             assert_eq!(
-                entry.regs[r.index()],
-                self.machine.cpu.reg(r),
-                "cross-check: {r} diverged for config @ {:#x}",
-                config.entry_pc
+                check.context.regs[r.index()],
+                cpu.reg(r),
+                "cross-check: {r} diverged for config @ {entry_pc:#x}"
             );
         }
-        assert_eq!(entry.hi, self.machine.cpu.hi, "cross-check: HI diverged");
-        assert_eq!(entry.lo, self.machine.cpu.lo, "cross-check: LO diverged");
+        assert_eq!(check.context.hi, cpu.hi, "cross-check: HI diverged");
+        assert_eq!(check.context.lo, cpu.lo, "cross-check: LO diverged");
         // Committed stores must match the bytes the replay wrote.
-        for (addr, byte) in bus.writes {
+        for (addr, byte) in check.stores {
             assert_eq!(
                 self.machine.mem.read_u8(addr),
                 byte,
-                "cross-check: memory byte {addr:#x} diverged for config @ {:#x}",
-                config.entry_pc
+                "cross-check: memory byte {addr:#x} diverged for config @ {entry_pc:#x}"
             );
         }
     }
@@ -566,6 +595,12 @@ impl System {
     /// the last segment completes or a speculated branch resolves
     /// against its prediction. Not generic over the probe, so every
     /// probe runs the same replay code.
+    ///
+    /// A segment's ops before its branch only move data, so they run
+    /// through [`Cpu::execute_data`](dim_mips_sim::Cpu::execute_data)
+    /// with no PC write; the branch (the segment's last op) runs through
+    /// `Cpu::execute` at its own PC. A fault leaves the PC at the
+    /// faulting op, where the interpreter would have stopped.
     fn replay(&mut self, config: &Configuration) -> Result<Replay, SimError> {
         let segments = config.segments();
         let mut replay = Replay {
@@ -573,19 +608,39 @@ impl System {
             misspec_branch: None,
             mem_stall_cycles: 0,
         };
+        let cpu = &mut self.machine.cpu;
+        let mem = &mut self.machine.mem;
+        let mut dcache = self.machine.dcache.as_mut();
         for (index, segment) in segments.iter().enumerate() {
-            for op in config.segment_ops(segment) {
-                // Replay preserves exact architectural semantics; rows and
-                // columns only affect the cycle accounting.
-                self.machine.cpu.pc = op.pc;
-                let info = self.machine.cpu.execute(op.inst, &mut self.machine.mem)?;
-                // Data-cache misses stall the whole array until resolved
-                // (paper §4.3); loads were *allocated* assuming hits.
-                if let (Some(dc), Some(addr)) = (&mut self.machine.dcache, info.mem_addr) {
-                    replay.mem_stall_cycles += dc.access(addr);
+            let ops = config.segment_ops(segment);
+            let (body, branch) = match (segment.branch, ops.split_last()) {
+                (Some(branch), Some((last, body))) => (body, Some((branch, last))),
+                _ => (ops, None),
+            };
+            // Replay preserves exact architectural semantics; rows and
+            // columns only affect the cycle accounting.
+            for op in body {
+                match cpu.execute_data(op.inst, mem) {
+                    // Data-cache misses stall the whole array until
+                    // resolved (paper §4.3); loads were *allocated*
+                    // assuming hits.
+                    Ok(Some(addr)) => {
+                        if let Some(dc) = &mut dcache {
+                            replay.mem_stall_cycles += dc.access(addr);
+                        }
+                    }
+                    Ok(None) => {}
+                    Err(e) => {
+                        cpu.pc = op.pc;
+                        return Err(e);
+                    }
                 }
-                if let (Some(branch), Some(taken)) = (segment.branch, info.taken) {
-                    if op.pc == branch.pc {
+            }
+            match branch {
+                Some((branch, op)) => {
+                    cpu.pc = op.pc;
+                    let info = cpu.execute(op.inst, mem)?;
+                    if let Some(taken) = info.taken {
                         self.predictor.update(branch.pc, taken);
                         if taken != branch.predicted_taken {
                             // The branch resolved against the speculated
@@ -599,18 +654,18 @@ impl System {
                         }
                     }
                 }
-            }
-            if segment.branch.is_none() {
-                self.machine.cpu.pc = segment.exit_pc;
+                None => cpu.pc = segment.exit_pc,
             }
         }
         Ok(replay)
     }
 
-    /// Executes one cached configuration on the array.
+    /// Executes one cached configuration on the array, counting the hit
+    /// in `tally`.
     fn execute_config<P: Probe>(
         &mut self,
-        record: &ReplayRecord,
+        record: &Arc<ReplayRecord>,
+        tally: &mut HeatTally,
         probe: &mut P,
     ) -> Result<(), SimError> {
         let config = record.config();
@@ -618,7 +673,7 @@ impl System {
         self.stats.array_occupied_rows += config.rows_used() as u64;
         self.stats.cache_bits_read += self.stored_bits_per_config;
 
-        let entry_snapshot = self.config.cross_check.then(|| self.entry_context());
+        let dataflow = self.config.cross_check.then(|| self.dataflow_check(config));
 
         let Replay {
             stop,
@@ -679,9 +734,10 @@ impl System {
 
         // Always-on fabric heat: the stop segment's `FabricHeat::record`
         // contribution, derived from the same placement and timing state
-        // the spans were charged from, plus this hit's residual, so heat's
-        // cycles reconcile exactly with `array_exec_cycles`.
-        self.fabric.merge(&cost.heat);
+        // the spans were charged from, is counted here and folded in by
+        // the tally; this hit's residual is added now, so heat's cycles
+        // reconcile exactly with `array_exec_cycles`.
+        tally.count(record, stop, &mut self.fabric, &self.config.timing);
         self.fabric.residual_cycles = self.fabric.residual_cycles.saturating_add(residual_cycles);
         debug_assert_eq!(
             cost.fabric.exec_cycles(),
@@ -718,8 +774,8 @@ impl System {
             }));
         }
 
-        if let Some(entry) = entry_snapshot {
-            self.cross_check(config, entry);
+        if let Some(check) = dataflow {
+            self.cross_check(config, check);
         }
 
         // The pipeline is drained while the array runs.
@@ -727,6 +783,93 @@ impl System {
         self.translator.note_boundary();
         self.stats.translated_instructions = self.translator.observed_instructions();
         Ok(())
+    }
+}
+
+/// What the dataflow cross-check computed for one invocation before
+/// replay ran.
+struct DataflowCheck {
+    /// The placement-level executor's result.
+    outcome: Result<dim_cgra::DataflowOutcome, dim_cgra::ExecError>,
+    /// Registers and HI/LO after its gated commit.
+    context: dim_cgra::EntryContext,
+    /// The bytes it committed, by address.
+    stores: BTreeMap<u32, u8>,
+}
+
+/// The run loop's [`HeatTally`] has `1 << HEAT_TALLY_BITS` slots.
+const HEAT_TALLY_BITS: u32 = 6;
+
+/// Array hits per (replay record, stop segment) that a run call has not
+/// yet added to the system's [`FabricHeat`]: a direct-mapped table
+/// keyed by the record's address and the stop segment. A hit that finds
+/// its slot held by another pair folds that pair's count first, and the
+/// run loop folds every slot when it exits. Each fold adds the pair's
+/// frozen heat delta `hits` times ([`FabricHeat::merge_times`]); sums do
+/// not depend on the order, so which pairs collide never shows.
+struct HeatTally {
+    slots: [Option<TallySlot>; 1 << HEAT_TALLY_BITS],
+}
+
+/// One pending count: `hits` hits of `record` that stopped after
+/// segment `stop`.
+struct TallySlot {
+    /// Held so no later record can reuse the address while the count is
+    /// pending.
+    record: Arc<ReplayRecord>,
+    stop: usize,
+    hits: u64,
+}
+
+impl TallySlot {
+    fn fold_into(self, fabric: &mut FabricHeat, timing: &ArrayTiming) {
+        fabric.merge_times(&self.record.costs(timing)[self.stop].heat, self.hits);
+    }
+}
+
+impl HeatTally {
+    fn new() -> HeatTally {
+        HeatTally {
+            slots: std::array::from_fn(|_| None),
+        }
+    }
+
+    /// Counts one hit of `record` that stopped after segment `stop`.
+    fn count(
+        &mut self,
+        record: &Arc<ReplayRecord>,
+        stop: usize,
+        fabric: &mut FabricHeat,
+        timing: &ArrayTiming,
+    ) {
+        // Fibonacci hashing of the address (8-aligned, so a small stop
+        // lands in its zero low bits).
+        let key = (Arc::as_ptr(record).addr() ^ stop) as u64;
+        let index = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - HEAT_TALLY_BITS)) as usize;
+        let slot = &mut self.slots[index];
+        if let Some(held) = slot {
+            if held.stop == stop && Arc::ptr_eq(&held.record, record) {
+                held.hits += 1;
+                return;
+            }
+        }
+        let fresh = TallySlot {
+            record: Arc::clone(record),
+            stop,
+            hits: 1,
+        };
+        if let Some(evicted) = slot.replace(fresh) {
+            evicted.fold_into(fabric, timing);
+        }
+    }
+
+    /// Folds every pending count into `fabric`, emptying the tally.
+    fn fold_into(&mut self, fabric: &mut FabricHeat, timing: &ArrayTiming) {
+        for slot in &mut self.slots {
+            if let Some(held) = slot.take() {
+                held.fold_into(fabric, timing);
+            }
+        }
     }
 }
 

@@ -13,15 +13,17 @@
 //! exposes: per run, one digest over the schema-v5 JSONL trace, the
 //! `DimStats`, the `FabricHeat`, the cycle breakdown and the resident
 //! set, over 18 workloads × 4 shapes × {4, 16, 64} slots × speculation
-//! off/on × three accelerator variants. Its constants were computed
-//! before the engine's PC-keyed maps and `Memory`'s page map stopped
-//! hashing; host-side shortcuts must leave them unchanged, and a
-//! deliberate behaviour change re-pins them and says why.
+//! off/on × four accelerator variants. The first three columns were
+//! computed before the engine's PC-keyed maps and `Memory`'s page map
+//! stopped hashing, the `caches` column before replay stopped stepping
+//! the interpreter per op; host-side shortcuts must leave them
+//! unchanged, and a deliberate behaviour change re-pins them and says
+//! why.
 
 use dim_cgra::snapshot::encode_config;
 use dim_cgra::ShapeChoice;
 use dim_core::{fnv1a64, ReplacementPolicy, System, SystemConfig};
-use dim_mips_sim::Machine;
+use dim_mips_sim::{CacheConfig, CacheSim, Machine};
 use dim_obs::{JsonlSink, Probe as _};
 use dim_workloads::{suite, validate, Scale};
 
@@ -108,35 +110,36 @@ fn commit_logs_and_resident_sets_match_their_pinned_digests() {
     assert_eq!(PINNED.len(), names.len(), "one pinned row per workload");
 }
 
-/// The three accelerator variants of the behaviour grid: the default
-/// setup; LRU replacement with one ALU row per cycle; and a flush
-/// threshold of 2 with the dataflow cross-check on.
-const VARIANTS: [&str; 3] = ["default", "lru_alu1", "flush2_xcheck"];
+/// The four accelerator variants of the behaviour grid: the default
+/// setup; LRU replacement with one ALU row per cycle; a flush threshold
+/// of 2 with the dataflow cross-check on; and 4-KiB instruction and
+/// data caches attached to the machine.
+const VARIANTS: [&str; 4] = ["default", "lru_alu1", "flush2_xcheck", "caches"];
 const GRID_SLOTS: [usize; 3] = [4, 16, 64];
 
 /// Per workload, one constant per variant in `VARIANTS` order, each
 /// folding that variant's 24 run digests (`SHAPES` × `GRID_SLOTS` ×
 /// speculation off/on, in that nesting order).
 #[rustfmt::skip]
-const PINNED_BEHAVIOUR: [(&str, [u64; 3]); 18] = [
-    ("rijndael_enc", [0xbb50861329db2ff0, 0x8d2a3be7034c40c2, 0xe76f9804dac4c6ea]),
-    ("rijndael_dec", [0x54c455cbbdc7e233, 0x5f6b8c08528e69e6, 0xe3d2a4f78076cc8e]),
-    ("gsm_enc", [0xc34eb183aa25d742, 0xd50c4f968ff15960, 0xa12ad5eb13767c9e]),
-    ("jpeg_enc", [0xf4c67aaeaa10f073, 0x3b5366989b843ee6, 0x2e7ebdd7464a5f76]),
-    ("sha", [0xb9735eb73a47c94b, 0x0dc95af3142b9d78, 0xb9735eb73a47c94b]),
-    ("susan_smoothing", [0x9bbd36bfdd429e66, 0x25f9e440e1427ad1, 0x0ba27d1b840a90f3]),
-    ("crc32", [0x6f3e47a14d63bbf9, 0xdb1c4f0f93cf3361, 0x6f3e47a14d63bbf9]),
-    ("jpeg_dec", [0xc4f15b6a570e6c4d, 0xd5a1bce056e17194, 0xc4f15b6a570e6c4d]),
-    ("patricia", [0x1b64d215ef6b3d31, 0xd484679067869270, 0x1b64d215ef6b3d31]),
-    ("susan_corners", [0xe5228ed2e2b21c96, 0x05535f0bcdea1bc4, 0x31316ae2862a2450]),
-    ("susan_edges", [0x0e68b73f0eef64cf, 0xc56de0ee8ce4071a, 0xd491c4738029886b]),
-    ("dijkstra", [0x030373db9d3dea86, 0x2fcab3d38cc5a45c, 0x4210dee705a3e64f]),
-    ("gsm_dec", [0x987f53574bfc70f4, 0x236743fc947ebc4a, 0x42776fd064636f6d]),
-    ("bitcount", [0x5cfd342f9fa089ab, 0x9a85ed28beefd515, 0x6846e45a75acd7a5]),
-    ("stringsearch", [0x638a5f0d312ee6b1, 0xaa39b5a9082fc318, 0xde217a86239f61df]),
-    ("quicksort", [0xb340f5f81b964b17, 0x5beba5637260f875, 0xf00e9783d19262dc]),
-    ("rawaudio_enc", [0xb78db366300e387d, 0xf9bfda02136862dd, 0x5d3e7980c6894daf]),
-    ("rawaudio_dec", [0xcfc0933429af4604, 0x1d975d568575c4e6, 0xec8c4081e8fe1543]),
+const PINNED_BEHAVIOUR: [(&str, [u64; 4]); 18] = [
+    ("rijndael_enc", [0xbb50861329db2ff0, 0x8d2a3be7034c40c2, 0xe76f9804dac4c6ea, 0x815c429abcff225e]),
+    ("rijndael_dec", [0x54c455cbbdc7e233, 0x5f6b8c08528e69e6, 0xe3d2a4f78076cc8e, 0x58fb57a372db7798]),
+    ("gsm_enc", [0xc34eb183aa25d742, 0xd50c4f968ff15960, 0xa12ad5eb13767c9e, 0x36deef9261a9ff69]),
+    ("jpeg_enc", [0xf4c67aaeaa10f073, 0x3b5366989b843ee6, 0x2e7ebdd7464a5f76, 0x76bae1dfbcc3daca]),
+    ("sha", [0xb9735eb73a47c94b, 0x0dc95af3142b9d78, 0xb9735eb73a47c94b, 0x077c885417ab864a]),
+    ("susan_smoothing", [0x9bbd36bfdd429e66, 0x25f9e440e1427ad1, 0x0ba27d1b840a90f3, 0x47268f51fb3d7711]),
+    ("crc32", [0x6f3e47a14d63bbf9, 0xdb1c4f0f93cf3361, 0x6f3e47a14d63bbf9, 0x43762bc7e9ec0a5f]),
+    ("jpeg_dec", [0xc4f15b6a570e6c4d, 0xd5a1bce056e17194, 0xc4f15b6a570e6c4d, 0x59de674f429e2446]),
+    ("patricia", [0x1b64d215ef6b3d31, 0xd484679067869270, 0x1b64d215ef6b3d31, 0x1fe227b66677b63d]),
+    ("susan_corners", [0xe5228ed2e2b21c96, 0x05535f0bcdea1bc4, 0x31316ae2862a2450, 0xc016f4806ef6d824]),
+    ("susan_edges", [0x0e68b73f0eef64cf, 0xc56de0ee8ce4071a, 0xd491c4738029886b, 0x9d5e9fc17c4801d6]),
+    ("dijkstra", [0x030373db9d3dea86, 0x2fcab3d38cc5a45c, 0x4210dee705a3e64f, 0xf0ce44fc24e3a323]),
+    ("gsm_dec", [0x987f53574bfc70f4, 0x236743fc947ebc4a, 0x42776fd064636f6d, 0xf8bb48e75938f735]),
+    ("bitcount", [0x5cfd342f9fa089ab, 0x9a85ed28beefd515, 0x6846e45a75acd7a5, 0x2f7d35ee6769162b]),
+    ("stringsearch", [0x638a5f0d312ee6b1, 0xaa39b5a9082fc318, 0xde217a86239f61df, 0xf109bc3ab11654c6]),
+    ("quicksort", [0xb340f5f81b964b17, 0x5beba5637260f875, 0xf00e9783d19262dc, 0x4eb13c0a0c360c6f]),
+    ("rawaudio_enc", [0xb78db366300e387d, 0xf9bfda02136862dd, 0x5d3e7980c6894daf, 0x5a71fafdb52799fd]),
+    ("rawaudio_dec", [0xcfc0933429af4604, 0x1d975d568575c4e6, 0xec8c4081e8fe1543, 0x7541719a75f6d62e]),
 ];
 
 fn variant_config(variant: usize, shape: ShapeChoice, slots: usize, spec: bool) -> SystemConfig {
@@ -151,19 +154,25 @@ fn variant_config(variant: usize, shape: ShapeChoice, slots: usize, spec: bool) 
             config.misspec_flush_threshold = 2;
             config.cross_check = true;
         }
+        "caches" => {}
         other => unreachable!("variant {other}"),
     }
     config
 }
 
-/// Runs `name` at `tiny` under `config` with a schema-v5 JSONL trace
-/// attached and digests everything the run exposes: the trace bytes,
-/// `DimStats`, `FabricHeat`, the cycle breakdown and the final resident
-/// set in FIFO order.
-fn behaviour_digest(name: &str, config: SystemConfig) -> u64 {
+/// Runs `name` at `tiny` under `variant`'s `config` with a schema-v5
+/// JSONL trace attached and digests everything the run exposes: the
+/// trace bytes, `DimStats`, `FabricHeat`, the cycle breakdown and the
+/// final resident set in FIFO order.
+fn behaviour_digest(name: &str, variant: usize, config: SystemConfig) -> u64 {
     let spec = dim_workloads::by_name(name).expect("workload exists");
     let built = (spec.build)(Scale::Tiny);
-    let mut system = System::new(Machine::load(&built.program), config);
+    let mut machine = Machine::load(&built.program);
+    if VARIANTS[variant] == "caches" {
+        machine.icache = Some(CacheSim::new(CacheConfig::icache_4k()));
+        machine.dcache = Some(CacheSim::new(CacheConfig::dcache_4k()));
+    }
+    let mut system = System::new(machine, config);
     let mut sink = JsonlSink::new(Vec::new(), name, system.stored_bits_per_config());
     system.run_probed(built.max_steps, &mut sink).expect(name);
     sink.finish();
@@ -197,8 +206,8 @@ fn check_behaviour_variant(variant: usize) {
         for &shape in &SHAPES {
             for &slots in &GRID_SLOTS {
                 for spec in [false, true] {
-                    let digest =
-                        behaviour_digest(name, variant_config(variant, shape, slots, spec));
+                    let config = variant_config(variant, shape, slots, spec);
+                    let digest = behaviour_digest(name, variant, config);
                     folded.extend_from_slice(&digest.to_le_bytes());
                     runs.push(format!(
                         "{}/{slots}/{}={digest:#018x}",
@@ -244,4 +253,9 @@ fn behaviour_digests_match_under_lru_with_one_alu_row_per_cycle() {
 #[test]
 fn behaviour_digests_match_under_flush_threshold_two_with_cross_check() {
     check_behaviour_variant(2);
+}
+
+#[test]
+fn behaviour_digests_match_with_instruction_and_data_caches() {
+    check_behaviour_variant(3);
 }

@@ -11,14 +11,19 @@
 //!   array.
 //!
 //! Checked property-style on a parameterized synthetic kernel and
-//! exhaustively on all 18 bundled workloads.
+//! exhaustively on all 18 bundled workloads. The run loop tallies hits
+//! and folds them into the accumulator; the last tests pin that the
+//! accumulator a caller reads is the one per-hit merging would give.
 
 use dim_cgra::{ArrayShape, FabricHeat, UNIT_CLASSES};
 use dim_core::{System, SystemConfig};
 use dim_mips::asm::assemble;
 use dim_mips_sim::Machine;
+use dim_obs::{Probe, ProbeEvent};
 use dim_workloads::{suite, validate, Scale};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::panic::{self, AssertUnwindSafe};
 
 const MAX_INSTRUCTIONS: u64 = 10_000_000;
 
@@ -230,5 +235,113 @@ fn heat_merge_equals_single_accumulator() {
             merged.busy_thirds[c],
             a.fabric_heat().busy_thirds[c] + b.fabric_heat().busy_thirds[c]
         );
+    }
+}
+
+/// 100 distinct loops of 12 iterations: at config 2 with speculation
+/// they commit 200 configurations, more than the run loop's heat tally
+/// has slots.
+fn hundred_loops() -> String {
+    let mut src = String::from("main: li $v0, 0\n");
+    for k in 0..100 {
+        src += &format!(
+            "      li $s0, 12
+loop{k}: addu $v0, $v0, $s0
+      sll $t0, $v0, {shift}
+      xor $v0, $v0, $t0
+      addiu $v0, $v0, {k}
+      addu $v0, $v0, $s0
+      addiu $s0, $s0, -1
+      bnez $s0, loop{k}
+",
+            shift = k % 31 + 1
+        );
+    }
+    src + "      break 0\n"
+}
+
+fn hundred_loops_system() -> System {
+    let program = assemble(&hundred_loops()).expect("assembles");
+    System::new(
+        Machine::load(&program),
+        SystemConfig::new(ArrayShape::config2(), 64, true),
+    )
+}
+
+/// Collects the entry PCs of the array invocations it sees, and panics
+/// on the `panic_at`-th one when asked to.
+#[derive(Default)]
+struct InvokeProbe {
+    entries: HashSet<u32>,
+    invokes: u64,
+    panic_at: Option<u64>,
+}
+
+impl Probe for InvokeProbe {
+    fn emit(&mut self, event: ProbeEvent) {
+        if let ProbeEvent::ArrayInvoke(invoke) = event {
+            self.entries.insert(invoke.entry_pc);
+            self.invokes += 1;
+            if self.panic_at == Some(self.invokes) {
+                panic!("probe drill: array_invoke #{}", self.invokes);
+            }
+        }
+    }
+}
+
+/// One `run` call over a run that hits more configurations than the
+/// tally has slots (so it folds mid-run) ends with the heat, stats and
+/// cycle breakdown of the same run made in 1-instruction calls, each of
+/// which folds at most one hit.
+#[test]
+fn one_run_call_folds_heat_like_single_instruction_calls() {
+    let mut whole = hundred_loops_system();
+    let mut probe = InvokeProbe::default();
+    whole
+        .run_probed(MAX_INSTRUCTIONS, &mut probe)
+        .expect("runs");
+    assert!(
+        probe.entries.len() > 64,
+        "only {} configurations were hit; the tally never had to fold mid-run",
+        probe.entries.len()
+    );
+    assert!(whole.stats().configs_built > 64);
+
+    let mut stepped = hundred_loops_system();
+    while stepped.machine().halted().is_none() {
+        stepped.run(1).expect("runs");
+    }
+    assert_eq!(whole.fabric_heat(), stepped.fabric_heat());
+    assert_eq!(whole.stats(), stepped.stats());
+    assert_eq!(whole.cycle_breakdown(), stepped.cycle_breakdown());
+    assert_heat_laws(&whole, "hundred loops");
+}
+
+/// A probe that panics inside a run leaves the heat exact: the hit
+/// whose event panicked is counted, and the pending tally is folded
+/// while the panic unwinds.
+#[test]
+fn a_panicking_probe_leaves_heat_as_single_instruction_calls_do() {
+    for k in [1, 70, 250] {
+        let drill = || InvokeProbe {
+            panic_at: Some(k),
+            ..InvokeProbe::default()
+        };
+        let mut whole = hundred_loops_system();
+        let mut probe = drill();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            whole.run_probed(MAX_INSTRUCTIONS, &mut probe)
+        }));
+        assert!(caught.is_err(), "k = {k}: the drill never fired");
+
+        let mut stepped = hundred_loops_system();
+        let mut probe = drill();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            stepped.run_probed(1, &mut probe).expect("runs");
+        }));
+        assert!(caught.is_err(), "k = {k}: the drill never fired");
+
+        assert_eq!(whole.fabric_heat().invocations, k, "k = {k}");
+        assert_eq!(whole.fabric_heat(), stepped.fabric_heat(), "k = {k}");
     }
 }

@@ -86,7 +86,9 @@ impl Cpu {
     ///
     /// The caller supplies the decoded instruction for the current PC
     /// (fetch/decode live in [`Machine`](crate::Machine), which predecodes
-    /// the text segment).
+    /// the text segment). Data instructions go through
+    /// [`execute_data`](Cpu::execute_data); this adds the PC update and
+    /// the control instructions and partial-word accesses.
     ///
     /// # Errors
     ///
@@ -99,50 +101,6 @@ impl Cpu {
         let mut mem_addr = None;
         let mut effect = Effect::None;
         match inst {
-            Alu { op, rd, rs, rt } => {
-                let v = op.eval(self.reg(rs), self.reg(rt));
-                self.set_reg(rd, v);
-            }
-            AluImm { op, rt, rs, imm } => {
-                let v = op.eval(self.reg(rs), imm);
-                self.set_reg(rt, v);
-            }
-            Shift { op, rd, rt, shamt } => {
-                let v = op.eval(self.reg(rt), shamt as u32);
-                self.set_reg(rd, v);
-            }
-            ShiftVar { op, rd, rt, rs } => {
-                let v = op.eval(self.reg(rt), self.reg(rs));
-                self.set_reg(rd, v);
-            }
-            Lui { rt, imm } => self.set_reg(rt, (imm as u32) << 16),
-            MulDiv { op, rs, rt } => {
-                let (hi, lo) = op.eval(self.reg(rs), self.reg(rt));
-                self.hi = hi;
-                self.lo = lo;
-            }
-            Mfhi { rd } => self.set_reg(rd, self.hi),
-            Mflo { rd } => self.set_reg(rd, self.lo),
-            Mthi { rs } => self.hi = self.reg(rs),
-            Mtlo { rs } => self.lo = self.reg(rs),
-            Load {
-                width,
-                signed,
-                rt,
-                base,
-                offset,
-            } => {
-                let addr = self.reg(base).wrapping_add(offset as i32 as u32);
-                mem_addr = Some(addr);
-                let v = match (width, signed) {
-                    (MemWidth::Byte, true) => mem.read_u8(addr) as i8 as i32 as u32,
-                    (MemWidth::Byte, false) => mem.read_u8(addr) as u32,
-                    (MemWidth::Half, true) => mem.read_u16(addr)? as i16 as i32 as u32,
-                    (MemWidth::Half, false) => mem.read_u16(addr)? as u32,
-                    (MemWidth::Word, _) => mem.read_u32(addr)?,
-                };
-                self.set_reg(rt, v);
-            }
             LoadUnaligned {
                 left,
                 rt,
@@ -192,21 +150,6 @@ impl Cpu {
                 };
                 mem.write_u32(aligned, merged)?;
             }
-            Store {
-                width,
-                rt,
-                base,
-                offset,
-            } => {
-                let addr = self.reg(base).wrapping_add(offset as i32 as u32);
-                mem_addr = Some(addr);
-                let v = self.reg(rt);
-                match width {
-                    MemWidth::Byte => mem.write_u8(addr, v as u8),
-                    MemWidth::Half => mem.write_u16(addr, v as u16)?,
-                    MemWidth::Word => mem.write_u32(addr, v)?,
-                }
-            }
             Branch { cond, rs, rt, .. } => {
                 let t = cond.eval(self.reg(rs), self.reg(rt));
                 taken = Some(t);
@@ -228,6 +171,7 @@ impl Cpu {
             }
             Syscall => effect = Effect::Syscall,
             Break { code } => effect = Effect::Break(code),
+            _ => mem_addr = self.execute_data(inst, mem)?,
         }
         self.pc = next_pc;
         Ok(StepInfo {
@@ -238,6 +182,102 @@ impl Cpu {
             mem_addr,
             effect,
         })
+    }
+
+    /// Executes one data instruction: the ALU, immediate and shift ops,
+    /// `lui`, mult/div, the HI/LO moves, and the aligned loads and
+    /// stores. The PC is left alone. Returns a load's or store's
+    /// effective address.
+    ///
+    /// This is the one definition of those instructions' semantics:
+    /// [`execute`](Cpu::execute) runs them through it, and so does the
+    /// array's replay of a configuration. Any other instruction (a
+    /// control transfer, `syscall`, `break`, `lwl`/`lwr`/`swl`/`swr`) is
+    /// not a data instruction: it changes nothing and returns
+    /// `Ok(None)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError::Misaligned`] from memory accesses, before
+    /// any register is written.
+    #[inline]
+    pub fn execute_data(
+        &mut self,
+        inst: Instruction,
+        mem: &mut Memory,
+    ) -> Result<Option<u32>, SimError> {
+        use Instruction::*;
+        match inst {
+            Alu { op, rd, rs, rt } => {
+                let v = op.eval(self.reg(rs), self.reg(rt));
+                self.set_reg(rd, v);
+            }
+            AluImm { op, rt, rs, imm } => {
+                let v = op.eval(self.reg(rs), imm);
+                self.set_reg(rt, v);
+            }
+            Shift { op, rd, rt, shamt } => {
+                let v = op.eval(self.reg(rt), shamt as u32);
+                self.set_reg(rd, v);
+            }
+            ShiftVar { op, rd, rt, rs } => {
+                let v = op.eval(self.reg(rt), self.reg(rs));
+                self.set_reg(rd, v);
+            }
+            Lui { rt, imm } => self.set_reg(rt, (imm as u32) << 16),
+            MulDiv { op, rs, rt } => {
+                let (hi, lo) = op.eval(self.reg(rs), self.reg(rt));
+                self.hi = hi;
+                self.lo = lo;
+            }
+            Mfhi { rd } => self.set_reg(rd, self.hi),
+            Mflo { rd } => self.set_reg(rd, self.lo),
+            Mthi { rs } => self.hi = self.reg(rs),
+            Mtlo { rs } => self.lo = self.reg(rs),
+            Load {
+                width,
+                signed,
+                rt,
+                base,
+                offset,
+            } => {
+                let addr = self.reg(base).wrapping_add(offset as i32 as u32);
+                let v = match (width, signed) {
+                    (MemWidth::Byte, true) => mem.read_u8(addr) as i8 as i32 as u32,
+                    (MemWidth::Byte, false) => mem.read_u8(addr) as u32,
+                    (MemWidth::Half, true) => mem.read_u16(addr)? as i16 as i32 as u32,
+                    (MemWidth::Half, false) => mem.read_u16(addr)? as u32,
+                    (MemWidth::Word, _) => mem.read_u32(addr)?,
+                };
+                self.set_reg(rt, v);
+                return Ok(Some(addr));
+            }
+            Store {
+                width,
+                rt,
+                base,
+                offset,
+            } => {
+                let addr = self.reg(base).wrapping_add(offset as i32 as u32);
+                let v = self.reg(rt);
+                match width {
+                    MemWidth::Byte => mem.write_u8(addr, v as u8),
+                    MemWidth::Half => mem.write_u16(addr, v as u16)?,
+                    MemWidth::Word => mem.write_u32(addr, v)?,
+                }
+                return Ok(Some(addr));
+            }
+            LoadUnaligned { .. }
+            | StoreUnaligned { .. }
+            | Branch { .. }
+            | J { .. }
+            | Jal { .. }
+            | Jr { .. }
+            | Jalr { .. }
+            | Syscall
+            | Break { .. } => {}
+        }
+        Ok(None)
     }
 }
 
@@ -508,6 +548,103 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.reg(Reg::T2), 0xdead_beef);
+    }
+
+    #[test]
+    fn execute_data_leaves_the_pc_and_returns_access_addresses() {
+        let (mut c, mut m) = cpu_at(0x40_0000);
+        c.set_reg(Reg::T0, 0x1000_0000);
+        c.set_reg(Reg::T1, 0x1234_5678);
+        let sw = Instruction::Store {
+            width: MemWidth::Word,
+            rt: Reg::T1,
+            base: Reg::T0,
+            offset: 8,
+        };
+        assert_eq!(c.execute_data(sw, &mut m), Ok(Some(0x1000_0008)));
+        let lw = Instruction::Load {
+            width: MemWidth::Word,
+            signed: false,
+            rt: Reg::T2,
+            base: Reg::T0,
+            offset: 8,
+        };
+        assert_eq!(c.execute_data(lw, &mut m), Ok(Some(0x1000_0008)));
+        assert_eq!(c.reg(Reg::T2), 0x1234_5678);
+        let addu = Instruction::Alu {
+            op: AluOp::Addu,
+            rd: Reg::T3,
+            rs: Reg::T1,
+            rt: Reg::T2,
+        };
+        assert_eq!(c.execute_data(addu, &mut m), Ok(None));
+        assert_eq!(c.reg(Reg::T3), 0x2468_acf0);
+        assert_eq!(c.pc, 0x40_0000);
+    }
+
+    #[test]
+    fn execute_data_faults_before_writing_a_register() {
+        let (mut c, mut m) = cpu_at(0x40_0000);
+        c.set_reg(Reg::T0, 0x1000_0002);
+        c.set_reg(Reg::T2, 7);
+        let before = c.clone();
+        let lw = Instruction::Load {
+            width: MemWidth::Word,
+            signed: false,
+            rt: Reg::T2,
+            base: Reg::T0,
+            offset: 0,
+        };
+        assert_eq!(
+            c.execute_data(lw, &mut m),
+            Err(SimError::Misaligned {
+                addr: 0x1000_0002,
+                width: 4
+            })
+        );
+        assert_eq!(c, before);
+    }
+
+    #[test]
+    fn execute_data_leaves_non_data_instructions_alone() {
+        let others = [
+            Instruction::Branch {
+                cond: BranchCond::Eq,
+                rs: Reg::ZERO,
+                rt: Reg::ZERO,
+                offset: 4,
+            },
+            Instruction::J { target: 0x100 },
+            Instruction::Jal { target: 0x100 },
+            Instruction::Jr { rs: Reg::T0 },
+            Instruction::Jalr {
+                rd: Reg::RA,
+                rs: Reg::T0,
+            },
+            Instruction::Syscall,
+            Instruction::Break { code: 3 },
+            Instruction::LoadUnaligned {
+                left: true,
+                rt: Reg::T1,
+                base: Reg::T0,
+                offset: 3,
+            },
+            Instruction::StoreUnaligned {
+                left: false,
+                rt: Reg::T1,
+                base: Reg::T0,
+                offset: 0,
+            },
+        ];
+        for inst in others {
+            let (mut c, mut m) = cpu_at(0x40_0000);
+            c.set_reg(Reg::T0, 0x1000_0000);
+            c.set_reg(Reg::T1, 0xdead_beef);
+            let before = c.clone();
+            assert_eq!(c.execute_data(inst, &mut m), Ok(None), "{inst:?}");
+            assert_eq!(c, before, "{inst:?}");
+            assert_eq!(m.read_u32(0x1000_0000), Ok(0), "{inst:?}");
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@ fn check_grid(built: &BuiltBenchmark) {
         (ArrayShape::config2(), 64, true),
         (ArrayShape::config3(), 256, true),
         (ArrayShape::infinite(), 1 << 20, true),
-        (ArrayShape::config2(), 64, true), // cross-checked point
     ];
     for (i, (shape, slots, spec)) in grid.into_iter().enumerate() {
         let mut machine = Machine::load(&built.program);
@@ -33,11 +32,11 @@ fn check_grid(built: &BuiltBenchmark) {
             machine.dcache = Some(CacheSim::new(CacheConfig::dcache_4k()));
         }
         let mut config = SystemConfig::new(shape, slots, spec);
-        if i == 5 {
-            // One grid point validates every array invocation against the
-            // placement-level dataflow executor (panics on divergence).
-            config.cross_check = true;
-        }
+        // Every point checks each committed configuration statically and
+        // each array invocation against the placement-level dataflow
+        // executor (both panic on a violation or divergence).
+        config.verify_configs = true;
+        config.cross_check = true;
         if i == 0 {
             // And one runs the LRU replacement policy.
             config.cache_policy = dim_accel::dim::ReplacementPolicy::Lru;

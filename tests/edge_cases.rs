@@ -158,6 +158,67 @@ fn misaligned_fault_propagates_identically() {
     ));
 }
 
+/// A hot configuration whose `sw` turns misaligned mid-segment faults
+/// on the array exactly where the interpreter faults: the same error,
+/// and the whole CPU (the ops before the store retired, the PC at the
+/// store) and memory as the interpreter leaves them.
+#[test]
+fn hot_store_turning_misaligned_faults_like_the_interpreter() {
+    // `sltiu` adds 1 to the store pointer once `$s0` drops below 20, so
+    // the store of the next iteration is the first misaligned one.
+    let src = "
+        .data
+        buf:   .space 512
+        .text
+        main:  la   $s1, buf
+               li   $s0, 60
+        loop:  addu $v0, $v0, $s0
+               xor  $t1, $v0, $s0
+               sw   $v0, 0($s1)
+               addu $v0, $v0, $t1
+               sltiu $t3, $s0, 20
+               addiu $s1, $s1, 4
+               addu $s1, $s1, $t3
+               addiu $s0, $s0, -1
+               bnez $s0, loop
+               break 0";
+    let program = assemble(src).unwrap();
+    let buf = program.data_base;
+    let mut baseline = Machine::load(&program);
+    let base_err = baseline.run(1_000_000).unwrap_err();
+    let store_pc = baseline.cpu.pc;
+    assert!(matches!(base_err, SimError::Misaligned { width: 4, .. }));
+    for (name, shape, slots, spec) in [
+        ("c1", ArrayShape::config1(), 64, false),
+        ("c2", ArrayShape::config2(), 64, true),
+        ("ideal", ArrayShape::infinite(), 1024, true),
+    ] {
+        let label = format!("{name}/{slots} spec={spec}");
+        let mut sys = System::new(
+            Machine::load(&program),
+            SystemConfig::new(shape, slots, spec),
+        );
+        let sys_err = sys.run(1_000_000).unwrap_err();
+        let stats = sys.stats();
+        // The faulting invocation is counted, but it neither completed
+        // nor misspeculated: the fault happened on the array.
+        assert!(stats.array_invocations > 1, "{label}: never hot");
+        assert_eq!(
+            stats.array_invocations,
+            stats.full_hits + stats.misspeculations + 1,
+            "{label}: the fault was not raised by a replay"
+        );
+        assert_eq!(sys_err, base_err, "{label}");
+        assert_eq!(sys.machine().cpu, baseline.cpu, "{label}");
+        assert_eq!(sys.machine().cpu.pc, store_pc, "{label}");
+        assert_eq!(
+            sys.machine().mem.read_bytes(buf, 512),
+            baseline.mem.read_bytes(buf, 512),
+            "{label}: stored bytes differ"
+        );
+    }
+}
+
 /// A `jr` through a register that leaves the text segment errors out the
 /// same way on both paths.
 #[test]
