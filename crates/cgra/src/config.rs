@@ -462,12 +462,6 @@ impl Configuration {
             })
     }
 
-    /// Delay-dominating kind of `row`, `None` for empty or out-of-range
-    /// rows.
-    pub fn row_kind(&self, row: usize) -> Option<RowKind> {
-        self.rows.get(row).and_then(RowUsage::kind)
-    }
-
     /// Execution cycles on the array for all rows containing operations
     /// of depth ≤ `upto_depth` (a misspeculated run pays only for the
     /// rows it actually traversed).

@@ -96,11 +96,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Appends a little-endian `u16`.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a little-endian `u32`.
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());

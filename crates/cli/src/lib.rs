@@ -198,18 +198,21 @@ fn load_program(path: &str) -> Result<Program, CliError> {
 }
 
 /// Strict argument validation: every flag must be known, flags taking a
-/// value must have one, no flag may repeat, and at most `positionals`
-/// non-flag arguments are accepted. A typo like `--slot 16` must fail
-/// loudly rather than silently run with defaults.
-fn check_flags(
+/// value must have one (another of the command's flags is not a value),
+/// no flag may repeat, and at most `positionals` non-flag arguments are
+/// accepted. A typo like `--slot 16` must fail loudly rather than
+/// silently run with defaults. Returns the positional arguments in
+/// order: a command takes its inputs from them, never from `args`, so a
+/// flag before the input or a flag's value is never read as the input.
+fn check_flags<'a>(
     cmd: &str,
-    args: &[String],
+    args: &'a [String],
     value_flags: &[&str],
     bool_flags: &[&str],
     positionals: usize,
-) -> Result<(), CliError> {
+) -> Result<Vec<&'a str>, CliError> {
     let mut seen: Vec<&str> = Vec::new();
-    let mut positional_count = 0;
+    let mut found = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
@@ -220,8 +223,9 @@ fn check_flags(
                 )));
             }
             if value_flags.contains(&arg) {
-                if i + 1 >= args.len() {
-                    return Err(CliError::new(format!("{arg} requires a value")));
+                match args.get(i + 1).map(String::as_str) {
+                    Some(v) if !value_flags.contains(&v) && !bool_flags.contains(&v) => {}
+                    _ => return Err(CliError::new(format!("{arg} requires a value"))),
                 }
                 i += 1;
             } else if !bool_flags.contains(&arg) {
@@ -231,14 +235,14 @@ fn check_flags(
             }
             seen.push(arg);
         } else {
-            positional_count += 1;
-            if positional_count > positionals {
+            if found.len() == positionals {
                 return Err(CliError::new(format!("{cmd}: unexpected argument `{arg}`")));
             }
+            found.push(arg);
         }
         i += 1;
     }
-    Ok(())
+    Ok(found)
 }
 
 fn parse_flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, CliError> {
@@ -386,15 +390,12 @@ fn report_halt(out: &mut impl Write, halt: HaltReason) -> Result<(), CliError> {
 }
 
 fn cmd_asm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("asm", args, &["-o"], &[], 1)?;
-    let input = args
+    let input = check_flags("asm", args, &["-o"], &[], 1)?
         .first()
+        .copied()
         .ok_or_else(|| CliError::new("asm: missing input file"))?;
     let program = load_program(input)?;
-    let default_out = format!(
-        "{}.dimg",
-        input.strip_suffix(".s").unwrap_or(input.as_str())
-    );
+    let default_out = format!("{}.dimg", input.strip_suffix(".s").unwrap_or(input));
     let output = parse_flag_value(args, "-o")?.unwrap_or(&default_out);
     std::fs::write(output, image::save(&program))?;
     writeln!(
@@ -409,9 +410,9 @@ fn cmd_asm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_disasm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("disasm", args, &[], &[], 1)?;
-    let input = args
+    let input = check_flags("disasm", args, &[], &[], 1)?
         .first()
+        .copied()
         .ok_or_else(|| CliError::new("disasm: missing input file"))?;
     let program = load_program(input)?;
     write!(
@@ -423,16 +424,16 @@ fn cmd_disasm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags(
+    let input = check_flags(
         "run",
         args,
         &["--max-steps", "--trace-out", "--telemetry-interval"],
         &["--profile", "--caches"],
         1,
-    )?;
-    let input = args
-        .first()
-        .ok_or_else(|| CliError::new("run: missing input file"))?;
+    )?
+    .first()
+    .copied()
+    .ok_or_else(|| CliError::new("run: missing input file"))?;
     let program = load_program(input)?;
     let max_steps: u64 = parse_num_flag(args, "--max-steps")?.unwrap_or(100_000_000);
     let mut machine = Machine::load(&program);
@@ -508,7 +509,7 @@ fn cmd_run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags(
+    let input = check_flags(
         "accel",
         args,
         &[
@@ -532,10 +533,10 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             "--watchdog",
         ],
         1,
-    )?;
-    let input = args
-        .first()
-        .ok_or_else(|| CliError::new("accel: missing input file"))?;
+    )?
+    .first()
+    .copied()
+    .ok_or_else(|| CliError::new("accel: missing input file"))?;
     let program = load_program(input)?;
     let choice = parse_name_flag(args, "--config")?.unwrap_or(ShapeChoice::Config1);
     let slots: usize = parse_num_flag(args, "--slots")?.unwrap_or(64);
@@ -613,8 +614,14 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let flight_capacity = flight_capacity
         .or_else(|| (want_watchdog || flight_out.is_some()).then_some(DEFAULT_ACCEL_FLIGHT));
 
-    let mut metrics =
-        want_metrics.then(|| MetricsRegistry::with_interval(telemetry.unwrap_or(100_000)));
+    if telemetry.is_some() && trace_out.is_none() {
+        return Err(CliError::new(
+            "accel: --telemetry-interval requires --trace-out (it sets the \
+             trace's telemetry cadence)",
+        ));
+    }
+
+    let mut metrics = want_metrics.then(MetricsRegistry::new);
     let mut sink: Option<FileSink> = match trace_out {
         Some(path) => {
             let mut s = open_trace_sink(path, input, system.stored_bits_per_config())?;
@@ -692,8 +699,7 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         )?;
     }
     if let Some(metrics) = &metrics {
-        writeln!(out, "--- metrics ---")?;
-        write!(out, "{}", metrics.render())?;
+        render_metrics(&system, metrics, out)?;
     }
     if let Some(InvocationWindow(window)) = &window {
         writeln!(out, "--- last array invocations ---")?;
@@ -730,9 +736,54 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     report_halt(out, halt)
 }
 
+/// `dim accel --metrics`: the run's totals, read from the counters the
+/// system keeps, then what only the registry measured.
+fn render_metrics(
+    system: &System,
+    metrics: &MetricsRegistry,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let cycles = system.cycle_breakdown();
+    let stats = system.stats();
+    let cache = system.cache();
+    let (hits, misses) = cache.hit_miss();
+    writeln!(out, "--- metrics ---")?;
+    writeln!(
+        out,
+        "pipeline: {} retired, {} base + {} i-stall + {} d-stall cycles",
+        system.machine().stats.instructions,
+        cycles.pipeline,
+        cycles.i_stall,
+        cycles.d_stall
+    )?;
+    writeln!(
+        out,
+        "translator: {} regions, {} commits ({} partial)",
+        metrics.trans_begins, stats.configs_built, metrics.trans_partials
+    )?;
+    writeln!(
+        out,
+        "rcache: {hits} hits / {misses} misses, {} inserts ({} evictions: {} live, {} dead), {} flushes",
+        cache.insertions(),
+        cache.evictions(),
+        cache.evictions_live(),
+        cache.evictions_dead(),
+        cache.flushes()
+    )?;
+    writeln!(
+        out,
+        "array: {} invocations ({} misspeculated), {} cycles",
+        stats.array_invocations,
+        stats.misspeculations,
+        stats.total_array_cycles()
+    )?;
+    write!(out, "{}", metrics.render())?;
+    Ok(())
+}
+
 fn cmd_sweep(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use dim_sweep::{bench_compare, run_sweep, SweepOptions, SweepSpec};
-    check_flags(
+    let input = check_flags(
         "sweep",
         args,
         &[
@@ -746,10 +797,10 @@ fn cmd_sweep(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         ],
         &["--explain"],
         1,
-    )?;
-    let input = args
-        .first()
-        .ok_or_else(|| CliError::new("sweep: missing spec file"))?;
+    )?
+    .first()
+    .copied()
+    .ok_or_else(|| CliError::new("sweep: missing spec file"))?;
     let text = std::fs::read_to_string(Path::new(input))
         .map_err(|e| CliError::new(format!("{input}: {e}")))?;
     let spec = SweepSpec::parse(&text).map_err(|e| CliError::new(format!("{input}: {e}")))?;
@@ -853,16 +904,16 @@ fn cmd_sweep(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_profile(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags(
+    let input = check_flags(
         "profile",
         args,
         &["--config", "--slots", "--max-steps", "--top"],
         &["--no-spec", "--caches", "--json"],
         1,
-    )?;
-    let input = args
-        .first()
-        .ok_or_else(|| CliError::new("profile: missing input file"))?;
+    )?
+    .first()
+    .copied()
+    .ok_or_else(|| CliError::new("profile: missing input file"))?;
     let program = load_program(input)?;
     let shape = parse_name_flag(args, "--config")?
         .unwrap_or(ShapeChoice::Config1)
@@ -901,9 +952,9 @@ fn cmd_profile(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_trace(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("trace", args, &[], &["--stats"], 1)?;
-    let input = args
+    let input = check_flags("trace", args, &[], &["--stats"], 1)?
         .first()
+        .copied()
         .ok_or_else(|| CliError::new("trace: missing trace file"))?;
     let text = std::fs::read_to_string(Path::new(input))
         .map_err(|e| CliError::new(format!("{input}: {e}")))?;
@@ -971,7 +1022,7 @@ fn heat_bar(value: u64, max: u64, width: usize) -> String {
 }
 
 fn cmd_heat(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags(
+    let input = check_flags(
         "heat",
         args,
         &[
@@ -983,10 +1034,10 @@ fn cmd_heat(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         ],
         &["--json", "--no-spec"],
         1,
-    )?;
-    let input = args
-        .first()
-        .ok_or_else(|| CliError::new("heat: missing trace or workload file"))?;
+    )?
+    .first()
+    .copied()
+    .ok_or_else(|| CliError::new("heat: missing trace or workload file"))?;
     let bytes =
         std::fs::read(Path::new(input)).map_err(|e| CliError::new(format!("{input}: {e}")))?;
     let want_json = args.iter().any(|a| a == "--json");
@@ -1480,10 +1531,9 @@ fn run_top(
 }
 
 fn cmd_top(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("top", args, &[], &["--follow"], 1)?;
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
+    let target = check_flags("top", args, &[], &["--follow"], 1)?
+        .first()
+        .copied()
         .ok_or_else(|| CliError::new("top: missing status file or sweep output directory"))?;
     let mut path = Path::new(target).to_path_buf();
     if path.is_dir() {
@@ -1494,16 +1544,16 @@ fn cmd_top(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_explain(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags(
+    let input = check_flags(
         "explain",
         args,
         &["--chrome-out", "--folded-out", "--top"],
         &["--json"],
         1,
-    )?;
-    let input = args
-        .first()
-        .ok_or_else(|| CliError::new("explain: missing trace file"))?;
+    )?
+    .first()
+    .copied()
+    .ok_or_else(|| CliError::new("explain: missing trace file"))?;
     let text = std::fs::read_to_string(Path::new(input))
         .map_err(|e| CliError::new(format!("{input}: {e}")))?;
     let ex =
@@ -1564,9 +1614,9 @@ fn cmd_suite(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
 fn cmd_compare(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use dim_mips_sim::{SuperscalarConfig, SuperscalarModel};
-    check_flags("compare", args, &["--max-steps"], &[], 1)?;
-    let input = args
+    let input = check_flags("compare", args, &["--max-steps"], &[], 1)?
         .first()
+        .copied()
         .ok_or_else(|| CliError::new("compare: missing input file"))?;
     let program = load_program(input)?;
     let max_steps: u64 = parse_num_flag(args, "--max-steps")?.unwrap_or(100_000_000);
@@ -1694,9 +1744,8 @@ fn cmd_perf_record(args: &[String], out: &mut impl Write) -> Result<(), CliError
 }
 
 fn cmd_perf_compare(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("perf compare", args, &[], &["--json"], 2)?;
-    let mut files = args.iter().filter(|a| !a.starts_with('-'));
-    let (Some(base_path), Some(cur_path)) = (files.next(), files.next()) else {
+    let files = check_flags("perf compare", args, &[], &["--json"], 2)?;
+    let [base_path, cur_path] = files[..] else {
         return Err(CliError::new(
             "perf compare: expected two baseline files (base, current)",
         ));
@@ -1788,7 +1837,7 @@ fn lint_one(
 }
 
 fn cmd_lint(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags(
+    let inputs = check_flags(
         "lint",
         args,
         &["--allow", "--scale", "--config"],
@@ -1806,7 +1855,7 @@ fn cmd_lint(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 )));
             }
         }
-        if args.iter().any(|a| !a.starts_with('-')) {
+        if !inputs.is_empty() {
             return Err(CliError::new("lint: --suite takes no input file"));
         }
         let scale = parse_name_flag(args, "--scale")?.unwrap_or(Scale::Tiny);
@@ -1831,9 +1880,8 @@ fn cmd_lint(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
+    let input = *inputs
+        .first()
         .ok_or_else(|| CliError::new("lint: missing input file"))?;
     let program = load_program(input)?;
     let allow: Vec<String> = parse_flag_value(args, "--allow")?
@@ -1862,12 +1910,11 @@ fn cmd_lint(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
 fn cmd_verify(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use dim_core::SnapshotContents;
-    check_flags("verify", args, &[], &["--json"], 1)?;
-    let json = args.iter().any(|a| a == "--json");
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
+    let input = check_flags("verify", args, &[], &["--json"], 1)?
+        .first()
+        .copied()
         .ok_or_else(|| CliError::new("verify: missing snapshot file"))?;
+    let json = args.iter().any(|a| a == "--json");
     let bytes = std::fs::read(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
     let contents =
         SnapshotContents::parse(&bytes).map_err(|e| CliError::new(format!("{input}: {e}")))?;
@@ -1972,7 +2019,7 @@ fn cmd_verify(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 fn cmd_prove(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use dim_lint::prove::prove_program;
     use dim_lint::report::render_prove_human;
-    check_flags(
+    let inputs = check_flags(
         "prove",
         args,
         &["--scale", "--cert-out", "--check"],
@@ -1988,6 +2035,9 @@ fn cmd_prove(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     "prove: `{flag}` does not combine with --check"
                 )));
             }
+        }
+        if !inputs.is_empty() {
+            return Err(CliError::new("prove: --check takes no input file"));
         }
         let text =
             std::fs::read_to_string(path).map_err(|e| CliError::new(format!("{path}: {e}")))?;
@@ -2006,7 +2056,7 @@ fn cmd_prove(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
     let mut reports = Vec::new();
     if args.iter().any(|a| a == "--suite") {
-        if args.iter().any(|a| !a.starts_with('-')) {
+        if !inputs.is_empty() {
             return Err(CliError::new("prove: --suite takes no input file"));
         }
         let scale = parse_name_flag(args, "--scale")?.unwrap_or(Scale::Tiny);
@@ -2018,9 +2068,8 @@ fn cmd_prove(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         if args.iter().any(|a| a == "--scale") {
             return Err(CliError::new("prove: --scale applies to --suite only"));
         }
-        let input = args
-            .iter()
-            .find(|a| !a.starts_with('-'))
+        let input = *inputs
+            .first()
             .ok_or_else(|| CliError::new("prove: missing input file"))?;
         let program = load_program(input)?;
         reports.push(prove_program(&program, input));
@@ -2210,14 +2259,13 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_submit(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("submit", args, &[], &["--json"], 2)?;
+    let positionals = check_flags("submit", args, &[], &["--json"], 2)?;
     let json = args.iter().any(|a| a == "--json");
-    let mut positionals = args.iter().filter(|a| !a.starts_with('-'));
-    let socket = positionals
-        .next()
+    let socket = *positionals
+        .first()
         .ok_or_else(|| CliError::new("submit: missing socket path"))?;
-    let request_file = positionals
-        .next()
+    let request_file = *positionals
+        .get(1)
         .ok_or_else(|| CliError::new("submit: missing request file"))?;
     let socket_path = Path::new(socket);
     if !socket_path.exists() {
@@ -2265,9 +2313,9 @@ fn cmd_submit(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_debug(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("debug", args, &["--script"], &[], 1)?;
-    let input = args
+    let input = check_flags("debug", args, &["--script"], &[], 1)?
         .first()
+        .copied()
         .ok_or_else(|| CliError::new("debug: missing input file"))?;
     let program = load_program(input)?;
     match parse_flag_value(args, "--script")? {
@@ -2536,6 +2584,63 @@ mod tests {
         assert!(summary.contains("valid trace"), "{summary}");
     }
 
+    /// `--metrics` counter lines are read from the system: on 100
+    /// distinct loops through a 4-slot cache they show FIFO thrash
+    /// split into live and dead evictions.
+    #[test]
+    fn accel_metrics_reads_the_system_counters() {
+        let mut src = String::from("main: li $v0, 0\n");
+        for k in 0..100 {
+            src.push_str(&format!(
+                "      li $s0, 12\n\
+                 loop{k}: addu $v0, $v0, $s0\n\
+                 sll $t0, $v0, {}\n\
+                 xor $v0, $v0, $t0\n\
+                 addiu $v0, $v0, {k}\n\
+                 addu $v0, $v0, $s0\n\
+                 addiu $s0, $s0, -1\n\
+                 bnez $s0, loop{k}\n",
+                k % 31 + 1
+            ));
+        }
+        src.push_str("break 0\n");
+        let path = tmp_file("t11.s", &src);
+        let args = [
+            "accel",
+            path.to_str().unwrap(),
+            "--config",
+            "2",
+            "--slots",
+            "4",
+        ];
+        let report = run_cli(&[&args[..], &["--metrics"]].concat()).unwrap();
+        let counters: Vec<&str> = report
+            .lines()
+            .skip_while(|l| *l != "--- metrics ---")
+            .skip(1)
+            .take(4)
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                "pipeline: 3102 retired, 3702 base + 0 i-stall + 0 d-stall cycles",
+                "translator: 400 regions, 200 commits (0 partial)",
+                "rcache: 300 hits / 3102 misses, 200 inserts (196 evictions: 98 live, 98 dead), 0 flushes",
+                "array: 300 invocations (100 misspeculated), 1600 cycles",
+            ],
+            "{report}"
+        );
+        // Each loop's first hit comes one lookup after its insertion,
+        // and each later hit two lookups after the one before.
+        let distances = "rcache reuse distance (lookups): n=300 min=1 mean=1.7 max=2\n             1 |        100 ";
+        assert!(report.contains(distances), "{report}");
+        // Without the metrics block the report is the plain run's.
+        let plain = run_cli(&args).unwrap();
+        let (head, tail) = report.split_once("--- metrics ---\n").unwrap();
+        let exit = tail.find("program exited").unwrap();
+        assert_eq!(format!("{head}{}", &tail[exit..]), plain);
+    }
+
     #[test]
     fn trace_stats_lists_record_kinds() {
         let src = tmp_file("t20.s", PROGRAM);
@@ -2677,9 +2782,14 @@ mod tests {
         let err =
             run_cli(&["sweep", spec.to_str().unwrap(), "--telemetry-interval", "0"]).unwrap_err();
         assert!(err.to_string().contains("at least 1 cycle"), "{err}");
-        // For a plain run the flag has no trace to stamp.
-        let err = run_cli(&["run", path, "--telemetry-interval", "500"]).unwrap_err();
-        assert!(err.to_string().contains("requires --trace-out"), "{err}");
+        // Without a trace, run and accel have nothing to stamp.
+        for cmd in ["run", "accel"] {
+            let err = run_cli(&[cmd, path, "--telemetry-interval", "500"]).unwrap_err();
+            assert!(
+                err.to_string().contains("requires --trace-out"),
+                "{cmd}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2964,6 +3074,88 @@ mod tests {
         assert!(err.to_string().contains("unexpected argument"), "{err}");
     }
 
+    /// A command's own flag is never taken as another flag's value.
+    #[test]
+    fn a_flag_is_not_another_flags_value() {
+        let src = tmp_file("t14.s", PROGRAM);
+        let path = src.to_str().unwrap();
+        let err = run_cli(&["accel", path, "--trace-out", "--metrics"]).unwrap_err();
+        assert_eq!(err.to_string(), "--trace-out requires a value");
+        assert!(!Path::new("--metrics").exists());
+        let err = run_cli(&["accel", path, "--slots", "--config", "2"]).unwrap_err();
+        assert_eq!(err.to_string(), "--slots requires a value");
+        let err = run_cli(&["lint", "--allow", "--json", path]).unwrap_err();
+        assert_eq!(err.to_string(), "--allow requires a value");
+    }
+
+    /// Every command with one input reads it from the positionals, so a
+    /// flag before the input and a flag's value are never read as it.
+    #[test]
+    fn single_input_commands_take_flags_on_either_side() {
+        let dir = std::env::temp_dir().join("dim-cli-tests/t15");
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let src = tmp_file("t15/prog.s", PROGRAM);
+        let src = src.to_str().unwrap();
+        let (trace, snapshot, sweep_out) = (at("t.jsonl"), at("s.dimrc"), at("sweep"));
+        run_cli(&[
+            "accel",
+            src,
+            "--trace-out",
+            &trace,
+            "--rcache-save",
+            &snapshot,
+        ])
+        .unwrap();
+        let script = tmp_file("t15/script", "step 3\nregs\n");
+        let spec = tmp_file(
+            "t15/grid.spec",
+            "workloads = crc32\nscale = tiny\nshapes = 1\nslots = 16\nspeculation = on\n",
+        );
+        let spans = fake_span_dump("t15.dimspan");
+        let status_dir = at("status");
+        run_cli(&["sweep", spec.to_str().unwrap(), "--out", &status_dir]).unwrap();
+        let cases: [(&str, &str, &[&str]); 15] = [
+            ("asm", src, &["-o", &at("prog.dimg")]),
+            ("run", src, &["--caches"]),
+            ("accel", src, &["--no-spec"]),
+            ("profile", src, &["--top", "3"]),
+            ("trace", &trace, &["--stats"]),
+            ("heat", src, &["--config", "2"]),
+            ("explain", &trace, &["--top", "3"]),
+            ("compare", src, &["--max-steps", "100000"]),
+            ("lint", src, &["--allow", "W001"]),
+            ("verify", &snapshot, &["--json"]),
+            ("prove", src, &["--cert-out", &at("c.jsonl")]),
+            ("debug", src, &["--script", script.to_str().unwrap()]),
+            ("spans", spans.to_str().unwrap(), &["--json"]),
+            ("sweep", spec.to_str().unwrap(), &["--out", &sweep_out]),
+            ("top", &status_dir, &["--follow"]),
+        ];
+        for (cmd, input, flags) in cases {
+            let outputs = [true, false].map(|flags_first| {
+                std::fs::remove_dir_all(&sweep_out).ok();
+                let mut args = vec![cmd];
+                if flags_first {
+                    args.extend_from_slice(flags);
+                    args.push(input);
+                } else {
+                    args.push(input);
+                    args.extend_from_slice(flags);
+                }
+                let out = run_cli(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+                // A sweep's summary line carries its wall time.
+                out.lines()
+                    .filter(|l| !l.starts_with("sweep:"))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            });
+            assert_eq!(outputs[0], outputs[1], "{cmd} {flags:?}");
+            assert!(!outputs[0].is_empty(), "{cmd}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn every_command_rejects_an_unknown_flag() {
         let commands = [
@@ -3148,6 +3340,8 @@ mod tests {
 
         let ok = run_cli(&["prove", "--check", certs]).unwrap();
         assert!(ok.contains("1 certificate(s) valid"), "{ok}");
+        let err = run_cli(&["prove", "--check", certs, path]).unwrap_err();
+        assert!(err.to_string().contains("takes no input file"), "{err}");
 
         // Flip one payload byte: the checksum must catch it, with the
         // line number in the error.

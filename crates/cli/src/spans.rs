@@ -17,25 +17,11 @@ use std::path::Path;
 
 /// Entry point for `dim spans <file> [--json] [--chrome-out <f.json>]`.
 pub fn cmd_spans(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("spans", args, &["--chrome-out"], &["--json"], 1)?;
+    let path = check_flags("spans", args, &["--chrome-out"], &["--json"], 1)?
+        .first()
+        .copied()
+        .ok_or_else(|| CliError::new("spans: missing <spans.dimspan> file"))?;
     let chrome_out = parse_flag_value(args, "--chrome-out")?;
-    // The one positional is the dump path; skip flag values when
-    // scanning for it.
-    let mut path: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--chrome-out" {
-            i += 2;
-            continue;
-        }
-        if !a.starts_with('-') {
-            path = Some(a);
-            break;
-        }
-        i += 1;
-    }
-    let path = path.ok_or_else(|| CliError::new("spans: missing <spans.dimspan> file"))?;
     let file = read_span_file(Path::new(path))
         .map_err(|e| CliError::new(format!("spans: {path}: {e}")))?;
     let forest = SpanForest::build(&file);

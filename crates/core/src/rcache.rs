@@ -212,7 +212,6 @@ pub struct ReconfCache {
     hits: u64,
     misses: u64,
     insertions: u64,
-    evictions: u64,
     evictions_live: u64,
     evictions_dead: u64,
     flushes: u64,
@@ -235,7 +234,6 @@ impl ReconfCache {
             hits: 0,
             misses: 0,
             insertions: 0,
-            evictions: 0,
             evictions_live: 0,
             evictions_dead: 0,
             flushes: 0,
@@ -317,7 +315,6 @@ impl ReconfCache {
             // Skip stale order entries left by flushes.
             if let Some(old) = self.order.pop_front() {
                 if let Some(victim) = self.entries.remove(old) {
-                    self.evictions += 1;
                     if victim.uses > 0 {
                         self.evictions_live += 1;
                     } else {
@@ -380,9 +377,10 @@ impl ReconfCache {
         self.insertions
     }
 
-    /// Capacity evictions over the run.
+    /// Capacity evictions over the run: the live ones plus the dead
+    /// ones.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.evictions_live + self.evictions_dead
     }
 
     /// Capacity evictions whose victim had served at least one lookup

@@ -240,73 +240,18 @@ fn eviction_split_tracks_capacity_boundary() {
     assert_eq!(exact.cache().evictions_live(), 0);
     assert_eq!(exact.cache().evictions_dead(), 0);
 
-    // One short: displacement starts and the split stays exhaustive.
-    let tight = run(resident - 1);
-    let cache = tight.cache();
-    assert!(cache.evictions() > 0);
-    assert_eq!(
-        cache.evictions_live() + cache.evictions_dead(),
-        cache.evictions()
-    );
+    // One short: displacement starts.
+    assert!(run(resident - 1).cache().evictions() > 0);
 
     // A single slot forces the hot loop's config — hit on every
     // iteration — to be displaced when the next region arrives, so at
     // least one eviction must be classified live.
     let single = run(1);
     let cache = single.cache();
-    assert_eq!(
-        cache.evictions_live() + cache.evictions_dead(),
-        cache.evictions()
-    );
     assert!(
         cache.evictions_live() >= 1,
         "the hot loop's config was reused before being displaced: {} of {} evictions live",
         cache.evictions_live(),
         cache.evictions()
-    );
-}
-
-/// `MetricsRegistry` tallies evictions and flushes from the event
-/// stream while `ReconfCache` counts them itself: on every workload, at
-/// a thrashing and a roomy slot count, the two must agree.
-#[test]
-fn metrics_registry_rcache_tallies_equal_the_cache_counters() {
-    let mut totals = [0u64; 3];
-    for slots in [4usize, 64] {
-        for spec in dim_workloads::suite() {
-            let built = (spec.build)(dim_workloads::Scale::Tiny);
-            let mut system = System::new(
-                Machine::load(&built.program),
-                SystemConfig::new(ArrayShape::config2(), slots, true),
-            );
-            let mut registry = dim_obs::MetricsRegistry::new();
-            system
-                .run_probed(built.max_steps, &mut registry)
-                .expect(spec.name);
-            dim_workloads::validate(system.machine(), &built).expect(spec.name);
-            let cache = system.cache();
-            let counted = [
-                cache.evictions_live(),
-                cache.evictions_dead(),
-                cache.flushes(),
-            ];
-            let tallied = [
-                registry.rcache_evicted_live,
-                registry.rcache_evicted_dead,
-                registry.rcache_flushes,
-            ];
-            assert_eq!(
-                tallied, counted,
-                "{} at {slots} slots: registry [live, dead, flushes] vs cache",
-                spec.name
-            );
-            for (total, n) in totals.iter_mut().zip(counted) {
-                *total += n;
-            }
-        }
-    }
-    assert!(
-        totals.iter().all(|&n| n > 0),
-        "the suite exercises live and dead evictions and flushes: {totals:?}"
     );
 }

@@ -73,12 +73,6 @@ impl PipelineCosts {
         }
         c
     }
-
-    /// Convenience: extra cycles of a divide over `base`. Used by the
-    /// array-coupled system (divides always run on the core).
-    pub fn div_cycles(&self) -> u64 {
-        self.base + self.div_extra
-    }
 }
 
 #[cfg(test)]

@@ -13,9 +13,11 @@
 //!
 //! * [`JsonlSink`] — a versioned, machine-readable JSONL event trace
 //!   (`dim run --trace-out t.jsonl`), replayable via [`replay`];
-//! * [`MetricsRegistry`] — counters and log-scaled [`LogHistogram`]s
-//!   with periodic interval snapshots, so time-series behavior (cache
-//!   warm-up, phase changes) is visible, not just end-of-run totals;
+//! * [`MetricsRegistry`] — log-scaled [`LogHistogram`]s of config
+//!   coverage, speculation depth, rcache reuse distance and invocation
+//!   cycles, plus the translator's region opens and partial commits:
+//!   what no run counter holds (`dim accel --metrics` reads the
+//!   totals from the system);
 //! * [`CycleProfiler`] — rolls every simulated cycle into one of
 //!   {pipeline, i-stall, d-stall, reconfig-stall, array-exec,
 //!   write-back-tail} per static basic block (`dim profile`).
@@ -61,7 +63,7 @@ pub use flight::{FlightGuard, FlightRecorder};
 pub use hash::fnv1a64;
 pub use json::{parse as parse_json, write_escaped, JsonValue, ObjectWriter};
 pub use jsonl::JsonlSink;
-pub use metrics::{IntervalSnapshot, LogHistogram, MetricsRegistry};
+pub use metrics::{LogHistogram, MetricsRegistry};
 pub use probe::{NullProbe, Probe, RecordingProbe};
 pub use profile::{AttributionKind, BlockCycles, CycleProfile, CycleProfiler};
 pub use span::{

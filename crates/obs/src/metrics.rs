@@ -1,4 +1,5 @@
-//! Counters, log-scaled histograms, and interval snapshots.
+//! Log-scaled histograms, and the [`MetricsRegistry`] probe that fills
+//! them with what no run counter measures.
 
 use crate::event::ProbeEvent;
 use crate::json::ObjectWriter;
@@ -67,25 +68,6 @@ impl LogHistogram {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Merges another histogram's samples into this one.
-    ///
-    /// Equivalent to having recorded every one of `other`'s samples
-    /// here: buckets add pairwise, count/sum accumulate (sum saturates,
-    /// like [`record`](LogHistogram::record)), min/max widen. Merging an
-    /// empty histogram is a no-op and leaves min/max untouched.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (b, &n) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(n);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples.
@@ -159,7 +141,7 @@ impl LogHistogram {
 impl fmt::Display for LogHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.count == 0 {
-            return write!(f, "(empty)");
+            return writeln!(f, "(empty)");
         }
         writeln!(
             f,
@@ -178,173 +160,42 @@ impl fmt::Display for LogHistogram {
     }
 }
 
-/// Aggregated counters for one cycle interval (or for the whole run).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntervalSnapshot {
-    /// Zero-based interval index.
-    pub index: u64,
-    /// First cycle of the interval (inclusive).
-    pub start_cycle: u64,
-    /// Cycle boundary the interval ended on (exclusive).
-    pub end_cycle: u64,
-    /// Instructions retired on the pipeline during the interval.
-    pub retired: u64,
-    /// Array invocations during the interval.
-    pub invocations: u64,
-    /// Reconfiguration-cache hits during the interval.
-    pub rcache_hits: u64,
-    /// Reconfiguration-cache misses during the interval.
-    pub rcache_misses: u64,
-    /// Misspeculated invocations during the interval.
-    pub misspeculations: u64,
-}
-
-impl IntervalSnapshot {
-    /// Serializes the snapshot as a JSON object fragment.
-    pub fn to_json(&self) -> String {
-        let mut o = ObjectWriter::new();
-        o.field_u64("index", self.index);
-        o.field_u64("start_cycle", self.start_cycle);
-        o.field_u64("end_cycle", self.end_cycle);
-        o.field_u64("retired", self.retired);
-        o.field_u64("invocations", self.invocations);
-        o.field_u64("rcache_hits", self.rcache_hits);
-        o.field_u64("rcache_misses", self.rcache_misses);
-        o.field_u64("misspeculations", self.misspeculations);
-        o.finish()
-    }
-}
-
-/// A [`Probe`] that aggregates events into counters and histograms.
-///
-/// With a non-zero snapshot interval it additionally cuts an
-/// [`IntervalSnapshot`] every `interval` simulated cycles, so warm-up
-/// and phase behavior stay visible after the run.
+/// A [`Probe`] that keeps what the system's own counters do not: four
+/// per-event distributions and the translator's region opens and
+/// partial commits. Run totals (retires, cycles, rcache traffic,
+/// invocations) are read from the system itself, which counts each of
+/// them once.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    /// Pipeline instructions retired.
-    pub retired: u64,
-    /// Pipeline base cycles (issue + structural penalties).
-    pub pipeline_base_cycles: u64,
-    /// Instruction-cache stall cycles.
-    pub i_stall_cycles: u64,
-    /// Data-cache stall cycles on the pipeline side.
-    pub d_stall_cycles: u64,
     /// Translator regions opened.
     pub trans_begins: u64,
-    /// Configurations committed by the translator.
-    pub trans_commits: u64,
     /// Committed configurations that were interrupted prefixes.
     pub trans_partials: u64,
-    /// Reconfiguration-cache hits.
-    pub rcache_hits: u64,
-    /// Reconfiguration-cache misses.
-    pub rcache_misses: u64,
-    /// Reconfiguration-cache insertions.
-    pub rcache_inserts: u64,
-    /// Insertions that evicted an entry.
-    pub rcache_evictions: u64,
-    /// Evictions whose victim had served at least one lookup hit.
-    pub rcache_evicted_live: u64,
-    /// Evictions whose victim was never reused after insertion.
-    pub rcache_evicted_dead: u64,
-    /// Configurations flushed after misspeculation.
-    pub rcache_flushes: u64,
-    /// Array invocations.
-    pub invocations: u64,
-    /// Misspeculated invocations.
-    pub misspeculations: u64,
-    /// Cycles attributed to the array (stall + exec + tail).
-    pub array_cycles: u64,
 
     /// Instructions covered per committed configuration.
     pub config_coverage: LogHistogram,
     /// Speculation depth actually executed per invocation.
     pub spec_depth: LogHistogram,
-    /// Lookups between consecutive hits on the same configuration.
+    /// Lookups from a configuration's insertion to its first hit, and
+    /// between its consecutive hits.
     pub rcache_reuse_distance: LogHistogram,
     /// Total cycles per invocation.
     pub invocation_cycles: LogHistogram,
 
-    /// Completed interval snapshots (empty when snapshots are disabled).
-    pub snapshots: Vec<IntervalSnapshot>,
-
-    interval: u64,
-    cycles_seen: u64,
-    current: IntervalSnapshot,
-    /// Lookup serial per configuration PC, for reuse distance.
+    /// Lookup serial of each resident PC's insertion or last hit.
     last_lookup: HashMap<u32, u64>,
     lookup_serial: u64,
 }
 
 impl MetricsRegistry {
-    /// A registry with interval snapshots disabled.
+    /// An empty registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// A registry that cuts a snapshot every `interval_cycles` simulated
-    /// cycles (0 disables snapshots).
-    pub fn with_interval(interval_cycles: u64) -> MetricsRegistry {
-        MetricsRegistry {
-            interval: interval_cycles,
-            ..MetricsRegistry::default()
-        }
-    }
-
-    /// Total simulated cycles observed.
-    pub fn cycles_seen(&self) -> u64 {
-        self.cycles_seen
-    }
-
-    /// The in-progress interval (counters since the last boundary).
-    pub fn current_interval(&self) -> &IntervalSnapshot {
-        &self.current
-    }
-
-    fn advance_cycles(&mut self, cycles: u64) {
-        self.cycles_seen += cycles;
-        if self.interval == 0 {
-            return;
-        }
-        // An event may straddle several boundaries; its counters land in
-        // the interval it started in, matching how a trace reader would
-        // bucket whole events.
-        while self.cycles_seen >= (self.current.index + 1) * self.interval {
-            let boundary = (self.current.index + 1) * self.interval;
-            let mut done = std::mem::take(&mut self.current);
-            done.end_cycle = boundary;
-            self.current.index = done.index + 1;
-            self.current.start_cycle = boundary;
-            self.snapshots.push(done);
-        }
-    }
-
-    /// Renders a human-readable summary of every metric.
+    /// Renders the four histograms, one titled block each.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        s.push_str(&format!(
-            "pipeline: {} retired, {} base + {} i-stall + {} d-stall cycles\n",
-            self.retired, self.pipeline_base_cycles, self.i_stall_cycles, self.d_stall_cycles
-        ));
-        s.push_str(&format!(
-            "translator: {} regions, {} commits ({} partial)\n",
-            self.trans_begins, self.trans_commits, self.trans_partials
-        ));
-        s.push_str(&format!(
-            "rcache: {} hits / {} misses, {} inserts ({} evictions: {} live, {} dead), {} flushes\n",
-            self.rcache_hits,
-            self.rcache_misses,
-            self.rcache_inserts,
-            self.rcache_evictions,
-            self.rcache_evicted_live,
-            self.rcache_evicted_dead,
-            self.rcache_flushes
-        ));
-        s.push_str(&format!(
-            "array: {} invocations ({} misspeculated), {} cycles\n",
-            self.invocations, self.misspeculations, self.array_cycles
-        ));
         for (name, h) in [
             ("config coverage (instructions)", &self.config_coverage),
             ("speculation depth", &self.spec_depth),
@@ -356,194 +207,48 @@ impl MetricsRegistry {
         ] {
             s.push_str(&format!("{name}: {h}"));
         }
-        if !self.snapshots.is_empty() {
-            s.push_str(&format!(
-                "{} interval snapshots of {} cycles each\n",
-                self.snapshots.len(),
-                self.interval
-            ));
-        }
         s
-    }
-
-    /// Serializes all metrics as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = ObjectWriter::new();
-        o.field_u64("retired", self.retired);
-        o.field_u64("pipeline_base_cycles", self.pipeline_base_cycles);
-        o.field_u64("i_stall_cycles", self.i_stall_cycles);
-        o.field_u64("d_stall_cycles", self.d_stall_cycles);
-        o.field_u64("trans_begins", self.trans_begins);
-        o.field_u64("trans_commits", self.trans_commits);
-        o.field_u64("trans_partials", self.trans_partials);
-        o.field_u64("rcache_hits", self.rcache_hits);
-        o.field_u64("rcache_misses", self.rcache_misses);
-        o.field_u64("rcache_inserts", self.rcache_inserts);
-        o.field_u64("rcache_evictions", self.rcache_evictions);
-        o.field_u64("rcache_evicted_live", self.rcache_evicted_live);
-        o.field_u64("rcache_evicted_dead", self.rcache_evicted_dead);
-        o.field_u64("rcache_flushes", self.rcache_flushes);
-        o.field_u64("invocations", self.invocations);
-        o.field_u64("misspeculations", self.misspeculations);
-        o.field_u64("array_cycles", self.array_cycles);
-        o.field_raw("config_coverage", &self.config_coverage.to_json());
-        o.field_raw("spec_depth", &self.spec_depth.to_json());
-        o.field_raw(
-            "rcache_reuse_distance",
-            &self.rcache_reuse_distance.to_json(),
-        );
-        o.field_raw("invocation_cycles", &self.invocation_cycles.to_json());
-        let mut snaps = String::from("[");
-        for (i, snap) in self.snapshots.iter().enumerate() {
-            if i > 0 {
-                snaps.push(',');
-            }
-            snaps.push_str(&snap.to_json());
-        }
-        snaps.push(']');
-        o.field_raw("snapshots", &snaps);
-        o.finish()
-    }
-
-    /// Accumulates another registry's totals into this one (saturating),
-    /// for aggregating per-run registries into a suite-wide report.
-    ///
-    /// Scalar counters add saturatingly and histograms merge sample for
-    /// sample. Interval snapshots and reuse-distance tracking state are
-    /// per-run timelines and are deliberately *not* merged — the merged
-    /// registry keeps only its own.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        fn acc(total: &mut u64, add: u64) {
-            *total = total.saturating_add(add);
-        }
-        acc(&mut self.retired, other.retired);
-        acc(&mut self.pipeline_base_cycles, other.pipeline_base_cycles);
-        acc(&mut self.i_stall_cycles, other.i_stall_cycles);
-        acc(&mut self.d_stall_cycles, other.d_stall_cycles);
-        acc(&mut self.trans_begins, other.trans_begins);
-        acc(&mut self.trans_commits, other.trans_commits);
-        acc(&mut self.trans_partials, other.trans_partials);
-        acc(&mut self.rcache_hits, other.rcache_hits);
-        acc(&mut self.rcache_misses, other.rcache_misses);
-        acc(&mut self.rcache_inserts, other.rcache_inserts);
-        acc(&mut self.rcache_evictions, other.rcache_evictions);
-        acc(&mut self.rcache_evicted_live, other.rcache_evicted_live);
-        acc(&mut self.rcache_evicted_dead, other.rcache_evicted_dead);
-        acc(&mut self.rcache_flushes, other.rcache_flushes);
-        acc(&mut self.invocations, other.invocations);
-        acc(&mut self.misspeculations, other.misspeculations);
-        acc(&mut self.array_cycles, other.array_cycles);
-        acc(&mut self.cycles_seen, other.cycles_seen);
-        self.config_coverage.merge(&other.config_coverage);
-        self.spec_depth.merge(&other.spec_depth);
-        self.rcache_reuse_distance
-            .merge(&other.rcache_reuse_distance);
-        self.invocation_cycles.merge(&other.invocation_cycles);
-    }
-
-    fn note_lookup(&mut self, pc: u32, hit: bool) {
-        self.lookup_serial += 1;
-        if hit {
-            if let Some(prev) = self.last_lookup.insert(pc, self.lookup_serial) {
-                self.rcache_reuse_distance.record(self.lookup_serial - prev);
-            } else {
-                // First hit after insertion: distance from insertion
-                // unknown, record as zero-distance warm hit.
-                self.rcache_reuse_distance.record(0);
-            }
-        }
     }
 }
 
 impl Probe for MetricsRegistry {
     fn emit(&mut self, event: ProbeEvent) {
-        let cycles = event.cycles();
         match event {
-            ProbeEvent::Retire {
-                base_cycles,
-                i_stall,
-                d_stall,
-                ..
-            } => {
-                self.retired += 1;
-                self.pipeline_base_cycles += base_cycles as u64;
-                self.i_stall_cycles += i_stall as u64;
-                self.d_stall_cycles += d_stall as u64;
-                self.current.retired += 1;
-            }
             ProbeEvent::TransBegin { .. } => self.trans_begins += 1,
             ProbeEvent::TransCommit {
                 instructions,
                 partial,
                 ..
             } => {
-                self.trans_commits += 1;
                 if partial {
                     self.trans_partials += 1;
                 }
                 self.config_coverage.record(instructions as u64);
             }
             ProbeEvent::RcacheHit { pc, .. } => {
-                self.rcache_hits += 1;
-                self.current.rcache_hits += 1;
-                self.note_lookup(pc, true);
-            }
-            ProbeEvent::RcacheMiss { pc } => {
-                self.rcache_misses += 1;
-                self.current.rcache_misses += 1;
-                self.note_lookup(pc, false);
-            }
-            ProbeEvent::RcacheInsert { evicted, .. } => {
-                self.rcache_inserts += 1;
-                if evicted.is_some() {
-                    self.rcache_evictions += 1;
+                self.lookup_serial += 1;
+                // A hit on an entry whose insert this registry never saw
+                // (a warm-started one) has no distance yet; it starts
+                // one for the next hit.
+                if let Some(prev) = self.last_lookup.insert(pc, self.lookup_serial) {
+                    self.rcache_reuse_distance.record(self.lookup_serial - prev);
                 }
             }
-            ProbeEvent::RcacheFlush { pc, .. } => {
-                self.rcache_flushes += 1;
+            ProbeEvent::RcacheMiss { .. } => self.lookup_serial += 1,
+            ProbeEvent::RcacheInsert { pc, .. } => {
+                self.last_lookup.insert(pc, self.lookup_serial);
+            }
+            ProbeEvent::RcacheFlush { pc, .. } | ProbeEvent::RcacheEvict { pc, .. } => {
                 self.last_lookup.remove(&pc);
             }
-            ProbeEvent::RcacheEvict { pc, uses, .. } => {
-                if uses > 0 {
-                    self.rcache_evicted_live += 1;
-                } else {
-                    self.rcache_evicted_dead += 1;
-                }
-                self.last_lookup.remove(&pc);
-            }
-            ProbeEvent::SpecMispredict { .. } => {}
-            ProbeEvent::Fabric(_) => {}
-            ProbeEvent::StreamTag { .. } => {}
             ProbeEvent::ArrayInvoke(inv) => {
-                self.invocations += 1;
-                self.array_cycles += inv.total_cycles();
-                self.current.invocations += 1;
-                if inv.misspeculated {
-                    self.misspeculations += 1;
-                    self.current.misspeculations += 1;
-                }
                 self.spec_depth.record(inv.spec_depth as u64);
                 self.invocation_cycles.record(inv.total_cycles());
             }
-        }
-        self.advance_cycles(cycles);
-    }
-
-    fn finish(&mut self) {
-        // Close the trailing partial interval so the snapshots tile the
-        // whole observed timeline.
-        if self.interval > 0
-            && (self.cycles_seen > self.current.start_cycle
-                || self.current.retired > 0
-                || self.current.invocations > 0
-                || self.current.rcache_hits > 0
-                || self.current.rcache_misses > 0)
-        {
-            let mut done = std::mem::take(&mut self.current);
-            done.end_cycle = self.cycles_seen;
-            self.current.index = done.index + 1;
-            self.current.start_cycle = self.cycles_seen;
-            self.snapshots.push(done);
+            ProbeEvent::Retire { .. }
+            | ProbeEvent::SpecMispredict { .. }
+            | ProbeEvent::Fabric(_)
+            | ProbeEvent::StreamTag { .. } => {}
         }
     }
 }
@@ -551,18 +256,7 @@ impl Probe for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ArrayInvoke, RetireKind};
-
-    fn retire(cycles: u32) -> ProbeEvent {
-        ProbeEvent::Retire {
-            pc: 0x100,
-            kind: RetireKind::Alu,
-            base_cycles: cycles,
-            i_stall: 0,
-            d_stall: 0,
-            ends_block: false,
-        }
-    }
+    use crate::event::ArrayInvoke;
 
     #[test]
     fn bucket_edges() {
@@ -594,183 +288,71 @@ mod tests {
         assert_eq!(h.buckets()[2], 1);
         assert_eq!(h.buckets()[4], 1);
         assert_eq!(h.nonzero_buckets().count(), 4);
+        h.record(u64::MAX);
+        assert_eq!(h.sum(), u64::MAX); // saturated, not wrapped
     }
 
     #[test]
-    fn interval_rollover() {
-        let mut m = MetricsRegistry::with_interval(10);
-        // 4 retires of 3 cycles each: boundary at 10 crossed mid-way.
-        for _ in 0..4 {
-            m.emit(retire(3));
-        }
-        assert_eq!(m.cycles_seen(), 12);
-        assert_eq!(m.snapshots.len(), 1);
-        let s = &m.snapshots[0];
-        assert_eq!(s.index, 0);
-        assert_eq!(s.start_cycle, 0);
-        assert_eq!(s.end_cycle, 10);
-        assert_eq!(s.retired, 4); // the straddling event lands in interval 0
-        assert_eq!(m.current_interval().index, 1);
-        assert_eq!(m.current_interval().start_cycle, 10);
-
-        // One giant event crosses several boundaries at once.
-        m.emit(retire(35));
-        assert_eq!(m.snapshots.len(), 4);
-        assert_eq!(m.snapshots[3].end_cycle, 40);
-        m.finish();
-        assert_eq!(m.snapshots.len(), 5);
-        assert_eq!(m.snapshots[4].end_cycle, 47);
-        assert_eq!(m.snapshots.iter().map(|s| s.retired).sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn histogram_merge_matches_sequential_recording_at_bucket_edges() {
-        // Samples sitting exactly on power-of-two bucket boundaries —
-        // the off-by-one-prone cases (0, 1, 2^k, 2^k - 1, u64::MAX).
-        let edges_a = [0u64, 1, 2, 3, 4];
-        let edges_b = [7u64, 8, (1 << 32) - 1, 1 << 32, u64::MAX];
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut reference = LogHistogram::new();
-        for v in edges_a {
-            a.record(v);
-            reference.record(v);
-        }
-        for v in edges_b {
-            b.record(v);
-            reference.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, reference);
-        assert_eq!(a.buckets()[0], 1); // the lone zero
-        assert_eq!(a.buckets()[64], 1); // u64::MAX keeps the top bucket
-        assert_eq!(a.min(), 0);
-        assert_eq!(a.max(), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_merge_with_empty_is_identity() {
-        let mut h = LogHistogram::new();
-        h.record(5);
-        let before = h.clone();
-        h.merge(&LogHistogram::new()); // empty rhs: no-op, min untouched
-        assert_eq!(h, before);
-        let mut empty = LogHistogram::new();
-        empty.merge(&before); // empty lhs: becomes rhs
-        assert_eq!(empty, before);
-        let mut both = LogHistogram::new();
-        both.merge(&LogHistogram::new());
-        assert_eq!(both.count(), 0);
-        assert_eq!(both.min(), 0); // still reports 0, not the MAX sentinel
-    }
-
-    #[test]
-    fn registry_merge_saturates_counters() {
-        let mut a = MetricsRegistry::new();
-        a.retired = u64::MAX - 1;
-        a.invocations = 3;
-        let mut b = MetricsRegistry::new();
-        b.retired = 5;
-        b.invocations = 4;
-        b.config_coverage.record(7);
-        b.snapshots.push(IntervalSnapshot::default());
-        a.merge(&b);
-        assert_eq!(a.retired, u64::MAX); // saturated, not wrapped
-        assert_eq!(a.invocations, 7);
-        assert_eq!(a.config_coverage.count(), 1);
-        assert!(a.snapshots.is_empty()); // per-run timelines stay put
-    }
-
-    #[test]
-    fn histogram_merge_saturates_sum() {
-        let mut a = LogHistogram::new();
-        a.record(u64::MAX);
-        let mut b = LogHistogram::new();
-        b.record(u64::MAX);
-        a.merge(&b);
-        assert_eq!(a.sum(), u64::MAX);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn empty_snapshot_and_registry_serialize_roundtrip() {
-        let snap_json = IntervalSnapshot::default().to_json();
-        let v = crate::json::parse(&snap_json).unwrap();
-        for key in [
-            "index",
-            "start_cycle",
-            "end_cycle",
-            "retired",
-            "invocations",
-            "rcache_hits",
-            "rcache_misses",
-            "misspeculations",
-        ] {
+    fn empty_histogram_serializes_and_renders() {
+        let v = crate::json::parse(&LogHistogram::new().to_json()).unwrap();
+        for key in ["count", "min", "max"] {
             assert_eq!(
-                v.get(key).and_then(super::super::json::JsonValue::as_u64),
+                v.get(key).and_then(crate::json::JsonValue::as_u64),
                 Some(0),
                 "{key}"
             );
         }
-
-        let reg_json = MetricsRegistry::new().to_json();
-        let v = crate::json::parse(&reg_json).unwrap();
-        assert_eq!(
-            v.get("retired")
-                .and_then(super::super::json::JsonValue::as_u64),
-            Some(0)
-        );
-        let cov = v.get("config_coverage").unwrap();
-        assert_eq!(
-            cov.get("count")
-                .and_then(super::super::json::JsonValue::as_u64),
-            Some(0)
-        );
-        assert_eq!(
-            cov.get("min")
-                .and_then(super::super::json::JsonValue::as_u64),
-            Some(0)
-        );
+        let rendered = MetricsRegistry::new().render();
+        assert_eq!(rendered.lines().count(), 4, "{rendered}");
+        assert!(rendered.lines().all(|l| l.ends_with(": (empty)")));
     }
 
     #[test]
     fn reuse_distance_counts_lookups_between_hits() {
         let mut m = MetricsRegistry::new();
-        m.emit(ProbeEvent::RcacheHit { pc: 0x10, len: 4 }); // warm hit → 0
+        // A hit on an entry inserted before the registry started (a
+        // warm start) has no distance.
+        m.emit(ProbeEvent::RcacheHit { pc: 0x10, len: 4 });
         m.emit(ProbeEvent::RcacheMiss { pc: 0x20 });
         m.emit(ProbeEvent::RcacheMiss { pc: 0x24 });
-        m.emit(ProbeEvent::RcacheHit { pc: 0x10, len: 4 }); // 3 lookups since last
-        assert_eq!(m.rcache_reuse_distance.count(), 2);
+        m.emit(ProbeEvent::RcacheHit { pc: 0x10, len: 4 }); // 3 lookups since the last hit
+        assert_eq!(m.rcache_reuse_distance.count(), 1);
         assert_eq!(m.rcache_reuse_distance.max(), 3);
-        assert_eq!(m.rcache_hits, 2);
-        assert_eq!(m.rcache_misses, 2);
-    }
 
-    #[test]
-    fn evictions_split_live_from_dead() {
-        let mut m = MetricsRegistry::new();
-        m.emit(ProbeEvent::RcacheEvict {
-            pc: 0x10,
+        // A first hit counts from the insertion, and an eviction ends
+        // the entry's history.
+        m.emit(ProbeEvent::RcacheInsert {
+            pc: 0x20,
             len: 4,
-            uses: 2,
+            evicted: None,
         });
+        m.emit(ProbeEvent::RcacheMiss { pc: 0x24 });
+        m.emit(ProbeEvent::RcacheHit { pc: 0x20, len: 4 }); // 2 lookups since the insert
         m.emit(ProbeEvent::RcacheEvict {
             pc: 0x20,
-            len: 6,
-            uses: 0,
+            len: 4,
+            uses: 1,
         });
-        assert_eq!(m.rcache_evicted_live, 1);
-        assert_eq!(m.rcache_evicted_dead, 1);
-        let mut other = MetricsRegistry::new();
-        other.rcache_evicted_live = u64::MAX;
-        other.merge(&m);
-        assert_eq!(other.rcache_evicted_live, u64::MAX); // saturated
-        assert_eq!(other.rcache_evicted_dead, 1);
+        m.emit(ProbeEvent::RcacheHit { pc: 0x20, len: 4 });
+        assert_eq!(m.rcache_reuse_distance.count(), 2);
+        assert_eq!(m.rcache_reuse_distance.min(), 2);
     }
 
     #[test]
-    fn registry_aggregates_invocations() {
+    fn registry_counts_translations_and_invocations() {
         let mut m = MetricsRegistry::new();
+        m.emit(ProbeEvent::TransBegin { pc: 4 });
+        for partial in [false, true] {
+            m.emit(ProbeEvent::TransCommit {
+                entry_pc: 4,
+                instructions: 9,
+                rows: 3,
+                spec_blocks: 1,
+                partial,
+            });
+        }
+        assert_eq!((m.trans_begins, m.trans_partials), (1, 1));
+        assert_eq!(m.config_coverage.count(), 2);
         m.emit(ProbeEvent::ArrayInvoke(ArrayInvoke {
             entry_pc: 4,
             exit_pc: 8,
@@ -786,12 +368,7 @@ mod tests {
             exec_cycles: 5,
             tail_cycles: 2,
         }));
-        assert_eq!(m.invocations, 1);
-        assert_eq!(m.misspeculations, 1);
-        assert_eq!(m.array_cycles, 8);
         assert_eq!(m.spec_depth.max(), 2);
         assert_eq!(m.invocation_cycles.sum(), 8);
-        let json = m.to_json();
-        crate::json::parse(&json).unwrap();
     }
 }

@@ -113,11 +113,6 @@ impl Watchdog {
         self.violation.as_ref()
     }
 
-    /// Events observed (including the offending one, after a trip).
-    pub fn events_seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Resident configurations implied by the event stream so far.
     pub fn resident_len(&self) -> usize {
         self.resident.len()
