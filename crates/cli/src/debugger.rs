@@ -65,9 +65,7 @@ impl Debugger<'_> {
                 return Ok(());
             }
             self.print_location(out)?;
-            self.machine
-                .step()
-                .map_err(|e| CliError::new(e.to_string()))?;
+            self.machine.step()?;
         }
         Ok(())
     }
@@ -88,9 +86,7 @@ impl Debugger<'_> {
                 writeln!(out, "giving up after {steps} instructions")?;
                 return Ok(());
             }
-            self.machine
-                .step()
-                .map_err(|e| CliError::new(e.to_string()))?;
+            self.machine.step()?;
             steps += 1;
         }
     }
@@ -142,11 +138,7 @@ impl Debugger<'_> {
             let pc = addr.wrapping_add(4 * k as u32);
             match self.machine.fetch(pc) {
                 Ok(_) => {
-                    let word = self
-                        .machine
-                        .mem
-                        .read_u32(pc)
-                        .map_err(|e| CliError::new(e.to_string()))?;
+                    let word = self.machine.mem.read_u32(pc)?;
                     let marker = if pc == self.machine.cpu.pc { ">" } else { " " };
                     writeln!(out, "{marker} {pc:#010x}:   {}", disassemble_word(word))?;
                 }

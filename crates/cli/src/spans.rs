@@ -8,7 +8,8 @@
 //! `--json` emits the same aggregates machine-readably; `--chrome-out`
 //! exports every tree as Chrome trace events (one track per request).
 
-use crate::{check_flags, parse_flag_value, CliError};
+use crate::flags::Flags;
+use crate::CliError;
 use dim_obs::span::{percentile_nanos, read_span_file, ParsedSpan, SpanFile, SpanForest};
 use dim_obs::{write_escaped, ObjectWriter};
 use std::collections::BTreeMap;
@@ -16,25 +17,20 @@ use std::io::Write;
 use std::path::Path;
 
 /// Entry point for `dim spans <file> [--json] [--chrome-out <f.json>]`.
-pub fn cmd_spans(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    let path = check_flags("spans", args, &["--chrome-out"], &["--json"], 1)?
-        .first()
-        .copied()
-        .ok_or_else(|| CliError::new("spans: missing <spans.dimspan> file"))?;
-    let chrome_out = parse_flag_value(args, "--chrome-out")?;
-    let file = read_span_file(Path::new(path))
-        .map_err(|e| CliError::new(format!("spans: {path}: {e}")))?;
+pub(crate) fn cmd_spans(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
+    let flags = Flags::parse("spans", args, "--chrome-out= --json", 1)?;
+    let path = flags.input("<spans.dimspan> file")?;
+    let file = read_span_file(Path::new(path)).map_err(CliError::at(format!("spans: {path}")))?;
     let forest = SpanForest::build(&file);
     let laws = forest.check_laws();
 
-    if let Some(chrome_path) = chrome_out {
-        let trace = chrome_trace(&forest);
-        std::fs::write(chrome_path, trace)
-            .map_err(|e| CliError::new(format!("--chrome-out {chrome_path}: {e}")))?;
+    if let Some(chrome_path) = flags.value("--chrome-out") {
+        std::fs::write(chrome_path, chrome_trace(&forest))
+            .map_err(CliError::at(format!("--chrome-out {chrome_path}")))?;
         writeln!(out, "chrome trace -> {chrome_path}")?;
     }
 
-    if args.iter().any(|a| a == "--json") {
+    if flags.has("--json") {
         writeln!(out, "{}", render_json(path, &file, &forest, &laws))?;
         return Ok(());
     }
@@ -228,68 +224,68 @@ fn render_waterfall(
     Ok(())
 }
 
-fn render_json(path: &str, file: &SpanFile, forest: &SpanForest, laws: &[String]) -> String {
-    let mut stages = String::from("{");
-    for (i, (stage, mut nanos)) in forest.stage_durations().into_iter().enumerate() {
+/// `{"key":value,...}` from already serialized values.
+fn json_map<K: AsRef<str>>(entries: impl IntoIterator<Item = (K, String)>) -> String {
+    let mut out = String::from("{");
+    for (i, (key, value)) in entries.into_iter().enumerate() {
         if i > 0 {
-            stages.push(',');
+            out.push(',');
         }
-        nanos.sort_unstable();
-        let mut o = ObjectWriter::new();
-        o.field_u64("count", nanos.len() as u64)
-            .field_u64("p50_nanos", percentile_nanos(&nanos, 50))
-            .field_u64("p90_nanos", percentile_nanos(&nanos, 90))
-            .field_u64("p99_nanos", percentile_nanos(&nanos, 99))
-            .field_u64("max_nanos", nanos.last().copied().unwrap_or(0))
-            .field_u64("total_nanos", nanos.iter().sum());
-        write_escaped(&mut stages, &stage);
-        stages.push(':');
-        stages.push_str(&o.finish());
+        write_escaped(&mut out, key.as_ref());
+        out.push(':');
+        out.push_str(&value);
     }
-    stages.push('}');
+    out.push('}');
+    out
+}
 
-    let mut tenants = String::from("{");
-    for (i, (tenant, walls)) in tenant_walls(forest).into_iter().enumerate() {
+/// `["a","b",...]`.
+fn json_strings<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
-            tenants.push(',');
+            out.push(',');
         }
+        write_escaped(&mut out, item.as_ref());
+    }
+    out.push(']');
+    out
+}
+
+fn render_json(path: &str, file: &SpanFile, forest: &SpanForest, laws: &[String]) -> String {
+    let stages = json_map(
+        forest
+            .stage_durations()
+            .into_iter()
+            .map(|(stage, mut nanos)| {
+                nanos.sort_unstable();
+                let mut o = ObjectWriter::new();
+                o.field_u64("count", nanos.len() as u64)
+                    .field_u64("p50_nanos", percentile_nanos(&nanos, 50))
+                    .field_u64("p90_nanos", percentile_nanos(&nanos, 90))
+                    .field_u64("p99_nanos", percentile_nanos(&nanos, 99))
+                    .field_u64("max_nanos", nanos.last().copied().unwrap_or(0))
+                    .field_u64("total_nanos", nanos.iter().sum());
+                (stage, o.finish())
+            }),
+    );
+    let tenants = json_map(tenant_walls(forest).into_iter().map(|(tenant, walls)| {
         let mut o = ObjectWriter::new();
         o.field_u64("requests", walls.len() as u64)
             .field_u64("p50_nanos", percentile_nanos(&walls, 50))
             .field_u64("p99_nanos", percentile_nanos(&walls, 99))
             .field_u64("total_nanos", walls.iter().sum());
-        write_escaped(&mut tenants, tenant);
-        tenants.push(':');
-        tenants.push_str(&o.finish());
-    }
-    tenants.push('}');
-
-    let mut buckets = String::from("{");
-    for (i, (name, (count, sampled, nanos))) in bucket_totals(file).into_iter().enumerate() {
-        if i > 0 {
-            buckets.push(',');
-        }
-        let mut o = ObjectWriter::new();
-        o.field_u64("count", count)
-            .field_u64("sampled", sampled)
-            .field_u64("estimated_nanos", nanos);
-        write_escaped(&mut buckets, name);
-        buckets.push(':');
-        buckets.push_str(&o.finish());
-    }
-    buckets.push('}');
-
-    let laws_json = format!(
-        "[{}]",
-        laws.iter()
-            .map(|v| {
-                let mut s = String::new();
-                write_escaped(&mut s, v);
-                s
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    );
+        (tenant, o.finish())
+    }));
+    let buckets = json_map(bucket_totals(file).into_iter().map(
+        |(name, (count, sampled, nanos))| {
+            let mut o = ObjectWriter::new();
+            o.field_u64("count", count)
+                .field_u64("sampled", sampled)
+                .field_u64("estimated_nanos", nanos);
+            (name, o.finish())
+        },
+    ));
 
     let mut w = ObjectWriter::new();
     w.field_str("file", path)
@@ -298,29 +294,21 @@ fn render_json(path: &str, file: &SpanFile, forest: &SpanForest, laws: &[String]
         .field_u64("orphans_trimmed", forest.orphans_trimmed as u64)
         .field_u64("dropped", file.dropped)
         .field_bool("laws_ok", laws.is_empty())
-        .field_raw("laws", &laws_json)
+        .field_raw("laws", &json_strings(laws))
         .field_raw("stages", &stages)
         .field_raw("tenants", &tenants)
         .field_raw("host_split", &buckets);
     if let Some(root) = slowest_root(forest) {
         let span = &forest.spans[root];
         let (cp, cp_nanos) = forest.critical_path(root);
-        let path_json = format!(
-            "[{}]",
-            cp.iter()
-                .map(|&i| {
-                    let mut s = String::new();
-                    write_escaped(&mut s, &forest.spans[i].stage);
-                    s
-                })
-                .collect::<Vec<_>>()
-                .join(",")
-        );
         let mut o = ObjectWriter::new();
         o.field_str("tenant", &span.tenant)
             .field_u64("seq", span.seq)
             .field_u64("wall_nanos", span.duration_nanos())
-            .field_raw("critical_path", &path_json)
+            .field_raw(
+                "critical_path",
+                &json_strings(cp.iter().map(|&i| &forest.spans[i].stage)),
+            )
             .field_u64("critical_nanos", cp_nanos);
         w.field_raw("slowest", &o.finish());
     }
@@ -369,5 +357,87 @@ fn push_tree_events(forest: &SpanForest, index: usize, tid: u64, events: &mut Ve
     events.push(o.finish());
     for &child in &forest.children[index] {
         push_tree_events(forest, child, tid, events);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::tests::{fake_span_dump, run_cli, tmp_file};
+
+    #[test]
+    fn spans_analyzes_a_dump_and_exports_chrome_trace() {
+        let dump = fake_span_dump("t60.dimspan");
+        let text = run_cli(&["spans", dump.to_str().unwrap()]).unwrap();
+        assert!(text.contains("2 request tree(s)"), "{text}");
+        assert!(text.contains("laws: ok"), "{text}");
+        assert!(text.contains("per-stage latency"), "{text}");
+        assert!(text.contains("queue_wait"), "{text}");
+        // The slowest request is beta's (20 ms exec vs alpha's 10 ms).
+        assert!(text.contains("tenant `beta` seq 2"), "{text}");
+        assert!(text.contains("critical path: request -> exec"), "{text}");
+
+        let json = run_cli(&["spans", dump.to_str().unwrap(), "--json"]).unwrap();
+        let v = dim_obs::parse_json(&json).unwrap();
+        assert_eq!(
+            v.get("laws_ok").and_then(dim_obs::JsonValue::as_bool),
+            Some(true)
+        );
+        let exec = v.get("stages").and_then(|s| s.get("exec")).unwrap();
+        assert_eq!(
+            exec.get("count").and_then(dim_obs::JsonValue::as_u64),
+            Some(2)
+        );
+        assert_eq!(
+            exec.get("max_nanos").and_then(dim_obs::JsonValue::as_u64),
+            Some(20_000)
+        );
+        let beta = v.get("tenants").and_then(|t| t.get("beta")).unwrap();
+        assert_eq!(
+            beta.get("requests").and_then(dim_obs::JsonValue::as_u64),
+            Some(1)
+        );
+
+        let chrome = tmp_file("t60-chrome.json", "");
+        run_cli(&[
+            "spans",
+            dump.to_str().unwrap(),
+            "--chrome-out",
+            chrome.to_str().unwrap(),
+        ])
+        .unwrap();
+        let trace = std::fs::read_to_string(&chrome).unwrap();
+        let v = dim_obs::parse_json(&trace).unwrap();
+        let events = v.get("traceEvents").unwrap().as_array().unwrap();
+        // 2 thread_name metadata events + 6 span events.
+        assert_eq!(events.len(), 8, "{trace}");
+        assert!(trace.contains("\"ph\":\"X\""), "{trace}");
+        assert!(trace.contains("beta #2"), "{trace}");
+    }
+
+    #[test]
+    fn spans_flags_law_violations_and_bad_files() {
+        use dim_obs::{FakeClock, SharedClock, SpanSheet};
+        // A dump with an un-ended child trips the text-mode exit and is
+        // reported (not hidden) in --json.
+        let clock = FakeClock::shared(0);
+        let sheet = SpanSheet::new(std::sync::Arc::clone(&clock) as SharedClock, 4);
+        let root = sheet.begin_root("request", "t", 1);
+        let _leak = sheet.begin("exec", root);
+        clock.advance(500);
+        sheet.end(root);
+        let dump = tmp_file("t61.dimspan", &sheet.render());
+        let err = run_cli(&["spans", dump.to_str().unwrap()]).unwrap_err();
+        assert!(err.to_string().contains("law violation"), "{err}");
+        let json = run_cli(&["spans", dump.to_str().unwrap(), "--json"]).unwrap();
+        assert!(json.contains("\"laws_ok\":false"), "{json}");
+        assert!(json.contains("never ended"), "{json}");
+
+        let err = run_cli(&["spans", "/nonexistent/spans.dimspan"]).unwrap_err();
+        assert!(!err.to_string().is_empty());
+        let garbage = tmp_file("t61-garbage.dimspan", "not a span frame\n");
+        let err = run_cli(&["spans", garbage.to_str().unwrap()]).unwrap_err();
+        assert!(!err.to_string().is_empty());
+        let err = run_cli(&["spans"]).unwrap_err();
+        assert!(err.to_string().contains("missing"), "{err}");
     }
 }

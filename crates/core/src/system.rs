@@ -472,6 +472,11 @@ impl System {
         if let Some(log) = &mut self.commit_log {
             log.push(config.clone());
         }
+        // A cache without slots stores nothing, so there is no insert to
+        // count, charge or report.
+        if self.cache.slots() == 0 {
+            return;
+        }
         self.stats.configs_built += 1;
         self.stats.cache_bits_written += self.stored_bits_per_config;
         let pc = config.entry_pc;
@@ -994,12 +999,20 @@ mod tests {
         assert!(sys.host_split().is_none());
     }
 
+    /// A 0-slot cache stores nothing, so the run reports no insert and
+    /// the watchdog's occupancy law holds.
     #[test]
     fn zero_slot_cache_never_accelerates() {
         let (mut sys, mut base) = build(SUM_LOOP, ArrayShape::config1(), 0, true);
-        sys.run(10_000_000).unwrap();
+        let mut watchdog = dim_obs::Watchdog::new(0);
+        sys.run_probed(10_000_000, &mut watchdog).unwrap();
         base.run(10_000_000).unwrap();
+        assert_eq!(watchdog.violation(), None);
         assert_eq!(sys.stats().array_invocations, 0);
+        assert_eq!(sys.stats().configs_built, 0);
+        assert_eq!(sys.stats().cache_bits_written, 0);
+        assert_eq!(sys.cache().insertions(), 0);
+        assert!(sys.stats().translated_instructions > 0);
         assert_eq!(sys.total_cycles(), base.stats.cycles);
     }
 

@@ -112,7 +112,7 @@ proptest! {
     fn jsonl_trace_replays_to_identical_stats(
         iters in 1u32..200,
         mask in prop_oneof![Just(0u32), Just(1), Just(3)],
-        slots in prop_oneof![Just(16usize), Just(64)],
+        slots in prop_oneof![Just(0usize), Just(16), Just(64)],
         with_caches in any::<bool>(),
     ) {
         let src = workload_src(iters, mask, 1);

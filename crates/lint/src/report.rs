@@ -4,6 +4,7 @@
 use crate::candidates::CandidateSet;
 use crate::prove::{ProveReport, RegionOutcome};
 use crate::LintReport;
+use dim_obs::ObjectWriter;
 use std::fmt::Write as _;
 
 /// Schema version stamped into every `dim lint --json` document.
@@ -23,25 +24,6 @@ pub fn check_lint_schema(doc: &str) -> Result<(), String> {
         )),
         None => Err("missing `schema` field".to_string()),
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a lint report as plain text, one diagnostic per line.
@@ -81,35 +63,31 @@ fn plural(n: usize) -> &'static str {
 
 /// Renders a lint report as a JSON object.
 pub fn render_json(name: &str, report: &LintReport) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":{LINT_SCHEMA_VERSION},\"workload\":\"{}\",\"instructions\":{},\"blocks\":{},\"reachable_blocks\":{},\"errors\":{},\"warnings\":{},\"notes\":{},\"suppressed\":{},\"clean\":{},\"diagnostics\":[",
-        json_escape(name),
-        report.instructions,
-        report.blocks,
-        report.reachable_blocks,
-        report.error_count(),
-        report.warning_count(),
-        report.note_count(),
-        report.suppressed,
-        report.is_clean()
-    );
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-            d.code,
-            d.severity,
-            d.pc.map_or("null".to_string(), |pc| pc.to_string()),
-            json_escape(&d.message)
-        );
-    }
-    out.push_str("]}");
-    out
+    let diagnostics: Vec<String> = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            let mut o = ObjectWriter::new();
+            o.field_str("code", d.code)
+                .field_str("severity", &d.severity.to_string())
+                .field_opt_u64("pc", d.pc.map(u64::from))
+                .field_str("message", &d.message);
+            o.finish()
+        })
+        .collect();
+    let mut o = ObjectWriter::new();
+    o.field_u64("schema", LINT_SCHEMA_VERSION.into())
+        .field_str("workload", name)
+        .field_u64("instructions", report.instructions as u64)
+        .field_u64("blocks", report.blocks as u64)
+        .field_u64("reachable_blocks", report.reachable_blocks as u64)
+        .field_u64("errors", report.error_count() as u64)
+        .field_u64("warnings", report.warning_count() as u64)
+        .field_u64("notes", report.note_count() as u64)
+        .field_u64("suppressed", report.suppressed as u64)
+        .field_bool("clean", report.is_clean())
+        .field_raw("diagnostics", &format!("[{}]", diagnostics.join(",")));
+    o.finish()
 }
 
 /// Renders the static candidate set as plain text.
@@ -192,23 +170,26 @@ pub fn render_prove_human(report: &ProveReport) -> String {
 
 /// Renders the static candidate set as a JSON object.
 pub fn render_candidates_json(set: &CandidateSet) -> String {
-    let mut out = String::from("{\"entries\":[");
-    for (i, (entry, paths)) in set.candidates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"entry\":{entry},\"paths\":[");
-        for (j, path) in paths.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let pcs: Vec<String> = path.iter().map(u32::to_string).collect();
-            let _ = write!(out, "[{}]", pcs.join(","));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let entries: Vec<String> = set
+        .candidates
+        .iter()
+        .map(|(entry, paths)| {
+            let paths: Vec<String> = paths
+                .iter()
+                .map(|path| {
+                    let pcs: Vec<String> = path.iter().map(u32::to_string).collect();
+                    format!("[{}]", pcs.join(","))
+                })
+                .collect();
+            let mut o = ObjectWriter::new();
+            o.field_u64("entry", (*entry).into())
+                .field_raw("paths", &format!("[{}]", paths.join(",")));
+            o.finish()
+        })
+        .collect();
+    let mut o = ObjectWriter::new();
+    o.field_raw("entries", &format!("[{}]", entries.join(",")));
+    o.finish()
 }
 
 #[cfg(test)]

@@ -52,7 +52,12 @@ impl fmt::Display for PerfError {
         match self {
             PerfError::Workload(e) => write!(f, "workload failed: {e}"),
             PerfError::UnknownWorkload(name) => {
-                write!(f, "unknown workload `{name}` (see `dim bench --list`)")
+                let suite: Vec<&str> = dim_workloads::suite().iter().map(|s| s.name).collect();
+                write!(
+                    f,
+                    "unknown workload `{name}` (the suite's workloads: {})",
+                    suite.join(", ")
+                )
             }
             PerfError::Parse(msg) => write!(f, "{msg}"),
         }

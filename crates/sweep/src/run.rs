@@ -260,6 +260,16 @@ pub fn counter_laws(system: &System) -> Result<(), String> {
             ),
         );
     }
+    if stats.configs_built != system.cache().insertions() {
+        return broken(
+            "configs-built",
+            format!(
+                "{} configurations built, the rcache stored {}",
+                stats.configs_built,
+                system.cache().insertions()
+            ),
+        );
+    }
     let heat = system.fabric_heat().invocations;
     if heat != stats.array_invocations {
         return broken(
@@ -746,6 +756,32 @@ mod tests {
         .expect_err("500 instructions cannot finish crc32");
         assert_eq!(failure.reason, "did not halt within 500 instructions");
         assert!(failure.flight.is_none());
+    }
+
+    /// A cache without slots stores nothing: a checked run on one passes
+    /// the watchdog and the counter laws, with nothing built or stored.
+    #[test]
+    fn a_zero_slot_run_passes_its_checks() {
+        let built = build("crc32");
+        let clock = MonotonicClock::shared();
+        let board = StatusBoard::new(None, StatusEntry::default(), 1, Arc::clone(&clock));
+        let run = run_checked(&RunSpec {
+            label: "crc32-0-slots",
+            built: &built,
+            config: SystemConfig::new(ArrayShape::config2(), 0, true),
+            max_steps: built.max_steps,
+            warm: None,
+            flight_capacity: 256,
+            explain: false,
+            status_interval: 0,
+            clock: &clock,
+            board: (&board, 0),
+            spans: None,
+        })
+        .unwrap_or_else(|f| panic!("{}", f.reason));
+        assert_eq!(run.system.stats().configs_built, 0);
+        assert_eq!(run.system.cache().insertions(), 0);
+        assert_eq!(run.system.stats().array_invocations, 0);
     }
 
     /// Everything a run leaves behind that a budget split could move.
