@@ -262,7 +262,9 @@ fn render_metrics(
     writeln!(
         out,
         "translator: {} regions, {} commits ({} partial)",
-        metrics.trans_begins, stats.configs_built, metrics.trans_partials
+        metrics.trans_begins,
+        metrics.trans_commits(),
+        metrics.trans_partials
     )?;
     writeln!(
         out,
@@ -508,6 +510,30 @@ mod tests {
         let (head, tail) = report.split_once("--- metrics ---\n").unwrap();
         let exit = tail.find("program exited").unwrap();
         assert_eq!(format!("{head}{}", &tail[exit..]), plain);
+        // A 0-slot cache stores nothing, but the translator still commits
+        // every region it closes: one per config-coverage sample.
+        let args = [&args[..4], &["--slots", "0", "--metrics"]].concat();
+        let report = run_cli(&args).unwrap();
+        let counters: Vec<&str> = report
+            .lines()
+            .skip_while(|l| *l != "--- metrics ---")
+            .skip(1)
+            .take(4)
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                "pipeline: 8502 retired, 9602 base + 0 i-stall + 0 d-stall cycles",
+                "translator: 500 regions, 500 commits (0 partial)",
+                "rcache: 0 hits / 8502 misses, 0 inserts (0 evictions: 0 live, 0 dead), 0 flushes",
+                "array: 0 invocations (0 misspeculated), 0 cycles",
+            ],
+            "{report}"
+        );
+        assert!(
+            report.contains("config coverage (instructions): n=500 "),
+            "{report}"
+        );
     }
 
     #[test]

@@ -29,44 +29,65 @@ mod trace;
 pub use debugger::debug_session;
 
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 
-/// CLI failure: carries the message shown to the user.
+/// CLI failure: carries the message shown to the user and, when an I/O
+/// error is passed on as it is, that error's kind.
 #[derive(Debug)]
-pub struct CliError(String);
+pub struct CliError {
+    msg: String,
+    kind: Option<io::ErrorKind>,
+}
 
 impl CliError {
     fn new(msg: impl Into<String>) -> CliError {
-        CliError(msg.into())
+        CliError {
+            msg: msg.into(),
+            kind: None,
+        }
     }
 
     /// A `map_err` adapter naming what failed: `{what}: {error}`.
     fn at<E: fmt::Display>(what: impl fmt::Display) -> impl FnOnce(E) -> CliError {
-        move |e| CliError(format!("{what}: {e}"))
+        move |e| CliError::new(format!("{what}: {e}"))
+    }
+
+    /// The kind of the I/O error this failure passes on, if any.
+    /// `BrokenPipe` means the reader of the output went away.
+    pub fn io_kind(&self) -> Option<io::ErrorKind> {
+        self.kind
     }
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.msg)
     }
 }
 
 impl std::error::Error for CliError {}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError {
+            msg: e.to_string(),
+            kind: Some(e.kind()),
+        }
+    }
+}
 
 /// Errors whose own message is the one shown to the user.
 macro_rules! shown_as_is {
     ($($error:ty),*) => {$(
         impl From<$error> for CliError {
             fn from(e: $error) -> Self {
-                CliError(e.to_string())
+                CliError::new(e.to_string())
             }
         }
     )*};
 }
 
 shown_as_is!(
-    std::io::Error,
     dim_mips_sim::SimError,
     dim_sweep::SweepError,
     dim_perf::PerfError,
@@ -442,5 +463,43 @@ pub(crate) mod tests {
                 "{command}: {err}"
             );
         }
+    }
+
+    /// Output whose reader has gone away, as a pipe into `head` is once
+    /// `head` exits.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A closed output reaches `main` as `BrokenPipe`, which it treats
+    /// as success; other failures carry no I/O kind.
+    #[test]
+    fn a_closed_output_fails_with_broken_pipe() {
+        let src = tmp_file("t62.s", PROGRAM);
+        let src = src.to_str().unwrap();
+        for args in [
+            vec!["help"],
+            vec!["disasm", src],
+            vec!["accel", src, "--slots", "1", "--trace"],
+        ] {
+            let args: Vec<String> = args.iter().map(std::string::ToString::to_string).collect();
+            let err = dispatch(&args, &mut ClosedPipe).expect_err("nothing can be written");
+            assert_eq!(
+                err.io_kind(),
+                Some(io::ErrorKind::BrokenPipe),
+                "{args:?}: {err}"
+            );
+        }
+        let err = run_cli(&["disasm", "no-such-file.s"]).unwrap_err();
+        assert_eq!(err.io_kind(), None, "{err}");
+        assert_eq!(run_cli(&["frobnicate"]).unwrap_err().io_kind(), None);
     }
 }

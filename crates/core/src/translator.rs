@@ -14,10 +14,13 @@
 //! host does not have to place it again: a region's outcome is a pure
 //! function of its observed steps (PC, instruction, and each branch's
 //! speculation decision and outcome) under fixed options, so the
-//! translator remembers the last outcome per entry PC. A region that
-//! opens at a remembered PC is checked step by step against the memo and,
-//! on a full match, hands back the record it committed last time; on the
-//! first mismatch it places the matched prefix and continues live.
+//! translator remembers the [`VARIANTS`] most recently used outcomes
+//! per entry PC. A region that opens at a remembered PC follows the
+//! most recent one step by step; when that outcome does not predict the
+//! next step, it switches to another with the same matched prefix that
+//! does. A full match hands back the record committed then. Only when
+//! no outcome matches is the matched prefix placed and the region
+//! continued live; its outcome then replaces the least recently used.
 
 use crate::pctable::PcTable;
 use crate::predictor::BimodalPredictor;
@@ -32,6 +35,12 @@ use std::sync::Arc;
 /// Interrupted prefixes with fewer ops are dropped (see
 /// [`Translator::take_partial`]).
 const MIN_PARTIAL_OPS: usize = 8;
+
+/// Outcomes remembered per entry PC. Control-flow regions switch among
+/// a few paths from one entry. On perfbench's `control_churn`, 8 read
+/// about 11% faster than 4 at the same peak memory, and 16 no faster
+/// than 8. `translator_reuse.rs` gives one entry more paths than this.
+const VARIANTS: usize = 8;
 
 /// The commit event for a finished configuration.
 fn commit_event(config: &Configuration, partial: bool) -> ProbeEvent {
@@ -108,7 +117,7 @@ enum End {
     Hit(u32),
 }
 
-/// The last outcome of a region opened at one entry PC.
+/// One remembered outcome of a region opened at an entry PC.
 #[derive(Debug, Clone)]
 struct Outcome {
     steps: Vec<Step>,
@@ -117,12 +126,38 @@ struct Outcome {
     record: Option<Arc<ReplayRecord>>,
 }
 
-/// How far the open region has matched its entry's [`Outcome`].
+/// How far the open region has matched one of its entry's outcomes.
 #[derive(Debug, Clone, Copy)]
 struct Follow {
+    /// The followed outcome's index in its entry's list.
+    variant: usize,
     matched: usize,
     /// Speculated branches among the matched steps.
     depth: u8,
+}
+
+/// The outcome in `outcomes` that shares the first `matched` steps of
+/// `outcomes[followed]` and `fits`, checking the followed one first.
+fn switch(
+    outcomes: &[Outcome],
+    followed: usize,
+    matched: usize,
+    fits: impl Fn(&Outcome) -> bool,
+) -> Option<usize> {
+    if fits(&outcomes[followed]) {
+        return Some(followed);
+    }
+    let prefix = &outcomes[followed].steps[..matched];
+    outcomes
+        .iter()
+        .position(|outcome| fits(outcome) && outcome.steps.get(..matched) == Some(prefix))
+}
+
+/// Moves `outcomes[index]` to the front and returns its record: a full
+/// match.
+fn reuse(outcomes: &mut [Outcome], index: usize) -> Option<Arc<ReplayRecord>> {
+    outcomes[..=index].rotate_right(1);
+    outcomes[0].record.clone()
 }
 
 /// The region under detection. One candidate lives as long as its
@@ -220,12 +255,12 @@ pub struct Translator {
     /// (i.e. it is the first instruction after a control transfer).
     boundary: bool,
     observed: u64,
-    /// The last outcome of a region opened at each entry PC. Host state
-    /// only: it never changes what a region produces, so it stays out
-    /// of snapshots.
-    memo: PcTable<Box<Outcome>>,
-    /// `Some` while the open region matches its entry's memo, which
-    /// then stands in for the candidate.
+    /// The outcomes of regions opened at each entry PC, most recently
+    /// used first, at most [`VARIANTS`]. Host state only: it never
+    /// changes what a region produces, so it stays out of snapshots.
+    memo: PcTable<Vec<Outcome>>,
+    /// `Some` while the open region matches one of its entry's
+    /// outcomes, which then stands in for the candidate.
     follow: Option<Follow>,
     /// Steps of the open region placed on the candidate, for the memo.
     log: Vec<Step>,
@@ -326,29 +361,26 @@ impl Translator {
         if !self.open {
             return None;
         }
-        if let Some(Follow { matched, .. }) = self.follow.take() {
-            let outcome = self.memo.get_mut(self.entry).expect("followed entry");
-            if matched == outcome.steps.len() && outcome.end == End::Hit(exit_pc) {
-                self.open = false;
-                return outcome.record.clone();
+        self.open = false;
+        let end = End::Hit(exit_pc);
+        if let Some(follow) = self.follow.take() {
+            let outcomes = self.memo.get_mut(self.entry).expect("followed entry");
+            let hit =
+                |outcome: &Outcome| outcome.steps.len() == follow.matched && outcome.end == end;
+            if let Some(index) = switch(outcomes, follow.variant, follow.matched, hit) {
+                return reuse(outcomes, index);
             }
-            if matched < MIN_PARTIAL_OPS {
-                // Every matched step was placed, and too few were.
-                self.open = false;
-                outcome.steps.truncate(matched);
-                outcome.end = End::Hit(exit_pc);
-                outcome.record = None;
-                return None;
+            self.unfollow(follow);
+            if self.log.len() >= MIN_PARTIAL_OPS {
+                self.place_log();
             }
-            self.rebuild(matched);
         }
-        let result = if self.candidate.config.instruction_count() < MIN_PARTIAL_OPS {
-            self.open = false;
+        let result = if self.log.len() < MIN_PARTIAL_OPS {
             None
         } else {
             self.close(exit_pc)
         };
-        self.remember(End::Hit(exit_pc), result.clone());
+        self.remember(end, result.clone());
         result
     }
 
@@ -364,27 +396,41 @@ impl Translator {
         Some(Arc::new(ReplayRecord::new(cand.config.clone())))
     }
 
-    /// Stores the region just placed as its entry's last outcome.
+    /// Stores the region just placed as its entry's most recent
+    /// outcome, dropping the least recently used one if the entry has
+    /// [`VARIANTS`].
     fn remember(&mut self, end: End, record: Option<Arc<ReplayRecord>>) {
-        let outcome = self.memo.get_or_insert_with(self.entry, || {
-            Box::new(Outcome {
+        let outcomes = self
+            .memo
+            .get_or_insert_with(self.entry, || Vec::with_capacity(1));
+        let mut outcome = if outcomes.len() == VARIANTS {
+            outcomes.pop().expect("a full entry")
+        } else {
+            Outcome {
                 steps: Vec::new(),
                 end,
                 record: None,
-            })
-        });
+            }
+        };
         outcome.steps.clear();
         outcome.steps.extend_from_slice(&self.log);
         outcome.end = end;
         outcome.record = record;
+        outcomes.insert(0, outcome);
     }
 
-    /// Leaves a follow: places the first `matched` steps of the entry's
-    /// memo on the candidate, which the region then continues live from.
-    fn rebuild(&mut self, matched: usize) {
-        let outcome = self.memo.get(self.entry).expect("followed entry");
+    /// Leaves a follow: the followed outcome's matched steps become the
+    /// open region's log.
+    fn unfollow(&mut self, follow: Follow) {
+        let outcomes = self.memo.get(self.entry).expect("followed entry");
         self.log.clear();
-        self.log.extend_from_slice(&outcome.steps[..matched]);
+        self.log
+            .extend_from_slice(&outcomes[follow.variant].steps[..follow.matched]);
+    }
+
+    /// Places the logged steps on the candidate, which the region then
+    /// continues live from.
+    fn place_log(&mut self) {
         self.candidate.reset(self.entry);
         for step in &self.log {
             let placed = self.candidate.place(&self.opts, step);
@@ -454,6 +500,7 @@ impl Translator {
             self.entry = info.pc;
             if self.memo.get(info.pc).is_some() {
                 self.follow = Some(Follow {
+                    variant: 0,
                     matched: 0,
                     depth: 0,
                 });
@@ -472,20 +519,24 @@ impl Translator {
             spec: self.opts.speculate(info, depth, predictor),
         };
         if let Some(follow) = &mut self.follow {
-            let outcome = self.memo.get(self.entry).expect("followed entry");
-            if outcome.steps.get(follow.matched) == Some(&step) {
+            let outcomes = self.memo.get_mut(self.entry).expect("followed entry");
+            let next = |outcome: &Outcome| outcome.steps.get(follow.matched) == Some(&step);
+            if let Some(index) = switch(outcomes, follow.variant, follow.matched, next) {
+                follow.variant = index;
                 follow.matched += 1;
                 follow.depth += u8::from(step.spec.is_some());
+                let outcome = &outcomes[index];
                 if follow.matched == outcome.steps.len() && outcome.end == End::Closed {
                     self.open = false;
                     self.follow = None;
-                    return outcome.record.clone();
+                    return reuse(outcomes, index);
                 }
                 return None;
             }
-            let matched = follow.matched;
+            let follow = *follow;
             self.follow = None;
-            self.rebuild(matched);
+            self.unfollow(follow);
+            self.place_log();
         }
 
         self.log.push(step);
@@ -870,6 +921,92 @@ mod tests {
         t.observe(&step(0x300, add(Reg::T0, Reg::T0, Reg::A0), None), &p);
         t.abandon_region();
         assert!(Arc::ptr_eq(&elsewhere, &nine(&mut t, 0x500)));
+    }
+
+    /// Five adds whose fourth is `addiu $t0, $t0, imm`, closed by a
+    /// branch: one distinct outcome per `imm`.
+    fn nth_outcome(t: &mut Translator, imm: u16) -> Arc<ReplayRecord> {
+        let fourth = Instruction::AluImm {
+            op: dim_mips::AluImmOp::Addiu,
+            rt: Reg::T0,
+            rs: Reg::T0,
+            imm,
+        };
+        five_adds(t, fourth, Some((branch(-6), Some(true)))).expect("committed")
+    }
+
+    /// An entry that alternates among three outcomes switches to the one
+    /// that matches and hands back its record on every repeat.
+    #[test]
+    fn an_entry_alternating_among_three_outcomes_reuses_every_record() {
+        let mut t = no_spec();
+        let first: Vec<_> = (0..3).map(|imm| nth_outcome(&mut t, imm)).collect();
+        for round in 0..3 {
+            for imm in [2, 0, 1, 1, 0, 2] {
+                let again = nth_outcome(&mut t, imm);
+                assert!(
+                    Arc::ptr_eq(&first[imm as usize], &again),
+                    "round {round}, outcome {imm}"
+                );
+            }
+        }
+        for (imm, record) in first.iter().enumerate() {
+            let fresh = nth_outcome(&mut no_spec(), imm as u16);
+            assert_eq!(record.config(), fresh.config());
+        }
+    }
+
+    /// One outcome more than an entry keeps drops its least recently used
+    /// one, which is detected from scratch when it comes back.
+    #[test]
+    fn an_outcome_past_the_limit_drops_the_least_recently_used() {
+        let mut t = no_spec();
+        let first: Vec<_> = (0..=VARIANTS as u16)
+            .map(|imm| nth_outcome(&mut t, imm))
+            .collect();
+        for imm in 1..=VARIANTS as u16 {
+            assert!(Arc::ptr_eq(&first[imm as usize], &nth_outcome(&mut t, imm)));
+        }
+        // Outcome 0 was dropped when outcome VARIANTS came; bringing it
+        // back drops outcome 1, now the least recently used.
+        for imm in [0, 1] {
+            let back = nth_outcome(&mut t, imm);
+            assert!(!Arc::ptr_eq(&first[imm as usize], &back), "outcome {imm}");
+            assert_eq!(back.config(), nth_outcome(&mut no_spec(), imm).config());
+        }
+        assert!(Arc::ptr_eq(
+            &first[VARIANTS],
+            &nth_outcome(&mut t, VARIANTS as u16)
+        ));
+    }
+
+    /// A prefix a hit interrupted and a longer region through the same
+    /// steps are both kept: a hit at the short one's exit returns its
+    /// record although the follow starts on the longer one.
+    #[test]
+    fn a_short_hit_prefix_and_its_longer_sibling_coexist() {
+        let mut t = no_spec();
+        let p = BimodalPredictor::new();
+        let region = |t: &mut Translator, ops: u32| {
+            t.note_boundary();
+            for i in 0..ops {
+                let done = t.observe(
+                    &step(0x300 + 4 * i, add(Reg::T0, Reg::T0, Reg::A0), None),
+                    &p,
+                );
+                assert!(done.is_none());
+            }
+            t.take_partial_shared(0x300 + 4 * ops, &mut NullProbe)
+                .expect("eight or more ops are kept")
+        };
+        let short = region(&mut t, 9);
+        let long = region(&mut t, 12);
+        assert_eq!(long.config().instruction_count(), 12);
+        for _ in 0..2 {
+            assert!(Arc::ptr_eq(&short, &region(&mut t, 9)));
+            assert!(Arc::ptr_eq(&long, &region(&mut t, 12)));
+        }
+        assert_eq!(short.config(), region(&mut no_spec(), 9).config());
     }
 
     #[test]

@@ -161,8 +161,8 @@ impl fmt::Display for LogHistogram {
 }
 
 /// A [`Probe`] that keeps what the system's own counters do not: four
-/// per-event distributions and the translator's region opens and
-/// partial commits. Run totals (retires, cycles, rcache traffic,
+/// per-event distributions and the translator's region opens, commits
+/// and partial commits. Run totals (retires, cycles, rcache traffic,
 /// invocations) are read from the system itself, which counts each of
 /// them once.
 #[derive(Debug, Clone, Default)]
@@ -191,6 +191,13 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
+    }
+
+    /// Configurations the translator committed, partials included: one
+    /// per `TransCommit`, each of which `config_coverage` records. A
+    /// commit the cache cannot store (0 slots) still counts.
+    pub fn trans_commits(&self) -> u64 {
+        self.config_coverage.count()
     }
 
     /// Renders the four histograms, one titled block each.
@@ -353,6 +360,7 @@ mod tests {
         }
         assert_eq!((m.trans_begins, m.trans_partials), (1, 1));
         assert_eq!(m.config_coverage.count(), 2);
+        assert_eq!(m.trans_commits(), 2);
         m.emit(ProbeEvent::ArrayInvoke(ArrayInvoke {
             entry_pc: 4,
             exit_pc: 8,

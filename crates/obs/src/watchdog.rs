@@ -31,6 +31,44 @@ use crate::event::ProbeEvent;
 use crate::probe::Probe;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a PC with one multiply, in place of SipHash on a set probed
+/// by every `rcache_hit`. A served program chooses its PCs, but the set
+/// never holds more than the cache's slots plus the one insert that
+/// trips the occupancy law, so even PCs that all collide cost at most
+/// a scan of that many.
+#[derive(Debug, Clone, Copy, Default)]
+struct PcHasher(u64);
+
+impl PcHasher {
+    /// An odd constant with well-spread bits (from `rustc-hash`).
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self
+                .0
+                .wrapping_add(u64::from(byte))
+                .wrapping_mul(PcHasher::K);
+        }
+    }
+
+    fn write_u32(&mut self, pc: u32) {
+        self.0 = self.0.wrapping_add(u64::from(pc)).wrapping_mul(PcHasher::K);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's best-mixed bits are its high ones; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A set of PCs hashed by [`PcHasher`].
+type PcSet = HashSet<u32, BuildHasherDefault<PcHasher>>;
 
 /// A latched invariant violation: which law broke, on which event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +103,7 @@ pub struct Watchdog {
     /// against.
     capacity: u64,
     /// Entry PCs currently resident in the reconfiguration cache.
-    resident: HashSet<u32>,
+    resident: PcSet,
     /// Victim announced by a displacing insert, awaiting its
     /// `rcache_evict` record.
     pending_evict: Option<u32>,
@@ -86,7 +124,7 @@ impl Watchdog {
     pub fn new(cache_slots: usize) -> Watchdog {
         Watchdog {
             capacity: cache_slots as u64,
-            resident: HashSet::new(),
+            resident: PcSet::default(),
             pending_evict: None,
             seen: 0,
             total_cycles: 0,
