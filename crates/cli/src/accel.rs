@@ -3,8 +3,7 @@
 use crate::flags::Flags;
 use crate::lint::read_certs;
 use crate::program::{
-    attach_caches, check_telemetry_has_trace, close_trace_sink, load_program, open_trace_sink,
-    report_halt, report_output,
+    attach_caches, close_trace_sink, load_program, open_trace_sink, report_halt, report_output,
 };
 use crate::CliError;
 use dim_cgra::ShapeChoice;
@@ -73,7 +72,7 @@ pub(crate) fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), Cli
         "accel",
         args,
         "--config= --slots= --max-steps= --trace-out= --rcache-save= --rcache-load= \
-         --telemetry-interval= --flight= --flight-out= --certs= \
+         --flight= --flight-out= --certs= \
          --no-spec --compare --dump-configs --trace --metrics --watchdog",
         1,
     )?;
@@ -120,7 +119,6 @@ pub(crate) fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), Cli
         .has("--trace")
         .then(|| InvocationWindow(FlightRecorder::new(TRACE_WINDOW)));
     let trace_out = flags.value("--trace-out");
-    let telemetry = flags.telemetry_interval()?;
     let flight_out = flags.value("--flight-out");
     let flight_capacity: Option<usize> = flags.num("--flight")?;
     if flight_capacity == Some(0) {
@@ -134,7 +132,6 @@ pub(crate) fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), Cli
     let flight_capacity = flight_capacity.or_else(|| {
         (flags.has("--watchdog") || flight_out.is_some()).then_some(DEFAULT_ACCEL_FLIGHT)
     });
-    check_telemetry_has_trace("accel", telemetry, trace_out)?;
 
     let mut metrics = flags.has("--metrics").then(MetricsRegistry::new);
     let mut sink = match trace_out {
@@ -142,7 +139,6 @@ pub(crate) fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), Cli
             path,
             input,
             system.stored_bits_per_config(),
-            telemetry,
         )?),
         None => None,
     };

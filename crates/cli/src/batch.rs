@@ -9,18 +9,16 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 pub(crate) fn cmd_sweep(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    use dim_sweep::{bench_compare, run_sweep, SweepOptions, SweepSpec};
+    use dim_sweep::{run_sweep, SweepOptions, SweepSpec};
     let flags = Flags::parse(
         "sweep",
         args,
-        "--jobs= --out= --limit= --bench-out= --warm= --flight= --telemetry-interval= --explain",
+        "--jobs= --out= --limit= --warm= --flight= --telemetry-interval= --explain",
         1,
     )?;
     let input = flags.input("spec file")?;
     let text = std::fs::read_to_string(input).map_err(CliError::at(input))?;
     let spec = SweepSpec::parse(&text).map_err(CliError::at(input))?;
-    let jobs = flags.positive("--jobs")?.unwrap_or(1) as usize;
-    let limit: Option<usize> = flags.num("--limit")?;
     let warm = match flags.value("--warm") {
         None => None,
         Some("on") => Some(true),
@@ -32,40 +30,9 @@ pub(crate) fn cmd_sweep(args: &[String], out: &mut impl Write) -> Result<(), Cli
         }
     };
 
-    if let Some(bench_out) = flags.value("--bench-out") {
-        if limit.is_some() {
-            return Err(CliError::new(
-                "sweep: --limit and --bench-out are mutually exclusive \
-                 (a truncated run cannot be compared)",
-            ));
-        }
-        let compare = bench_compare(&spec, Path::new(bench_out), jobs)?;
-        writeln!(
-            out,
-            "bench: {} cells, serial {:.3}s, parallel({}) {:.3}s, speedup {:.2}x, identical: {}",
-            compare.cells,
-            compare.serial_seconds,
-            compare.jobs,
-            compare.parallel_seconds,
-            compare.speedup,
-            compare.identical
-        )?;
-        writeln!(
-            out,
-            "wrote {}",
-            Path::new(bench_out).join("BENCH_sweep.json").display()
-        )?;
-        if !compare.identical {
-            return Err(CliError::new(
-                "sweep: parallel results diverged from serial — this is an engine bug",
-            ));
-        }
-        return Ok(());
-    }
-
     let mut opts = SweepOptions::new(flags.value("--out").unwrap_or("sweep-out").into());
-    opts.jobs = jobs;
-    opts.limit = limit;
+    opts.jobs = flags.positive("--jobs")?.unwrap_or(1) as usize;
+    opts.limit = flags.num("--limit")?;
     opts.warm_rcache = warm;
     opts.explain = flags.has("--explain");
     // Unlike accel's, sweep's recorder is on by default; `--flight 0`
@@ -453,26 +420,24 @@ mod tests {
         std::fs::remove_dir_all(&out_dir).ok();
     }
 
+    /// `--telemetry-interval` is a positive status cadence on the two
+    /// commands that take it; omitting the flag keeps the default.
     #[test]
-    fn sweep_bench_compare_writes_json() {
+    fn telemetry_interval_must_be_positive() {
         let spec = tmp_file(
-            "t17.spec",
+            "t30.spec",
             "workloads = crc32\nscale = tiny\nshapes = 1\nslots = 16\nspeculation = on\n",
         );
-        let base = std::env::temp_dir().join("dim-cli-tests/t17-bench");
-        std::fs::remove_dir_all(&base).ok();
-        let report = run_cli(&[
-            "sweep",
-            spec.to_str().unwrap(),
-            "--jobs",
-            "2",
-            "--bench-out",
-            base.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(report.contains("identical: true"), "{report}");
-        assert!(base.join("BENCH_sweep.json").exists());
-        std::fs::remove_dir_all(&base).ok();
+        let socket = std::env::temp_dir().join("dim-cli-tests/t30.sock");
+        let (spec, socket_path) = (spec.to_str().unwrap(), socket.to_str().unwrap());
+        for command in [&["sweep", spec][..], &["serve", "--socket", socket_path]] {
+            for (value, want) in [("0", "at least 1 cycle"), ("x", "not a number")] {
+                let args = [command, &["--telemetry-interval", value]].concat();
+                let err = run_cli(&args).unwrap_err();
+                assert!(err.to_string().contains(want), "{args:?}: {err}");
+            }
+        }
+        assert!(!socket.exists());
     }
 
     #[test]

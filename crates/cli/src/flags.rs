@@ -148,13 +148,13 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// `--telemetry-interval`, read alike by `run`, `accel`, `sweep` and
-    /// `serve`: a positive cycle count. 0 is rejected rather than
-    /// silently meaning "off": omitting the flag means off.
+    /// `--telemetry-interval`, the status cadence of `sweep` and `serve`:
+    /// a positive cycle count. 0 is rejected rather than silently
+    /// meaning the default: omitting the flag keeps the default.
     pub(crate) fn telemetry_interval(&self) -> Result<Option<u64>, CliError> {
         match self.num("--telemetry-interval")? {
             Some(0) => Err(CliError::new(
-                "--telemetry-interval: must be at least 1 cycle (omit the flag to disable)",
+                "--telemetry-interval: must be at least 1 cycle (omit the flag for the default)",
             )),
             n => Ok(n),
         }

@@ -102,13 +102,12 @@ commands:
   asm    <in.s> [-o <out.dimg>]      assemble to a program image
   disasm <file>                      disassemble an image or source file
   run    <file> [--max-steps N] [--profile] [--caches] [--trace-out <t.jsonl>]
-                [--telemetry-interval N]
                                      run on the plain MIPS simulator
   accel  <file> [--config 1|2|3|ideal] [--slots N] [--no-spec] [--compare]
                 [--dump-configs] [--trace] [--trace-out <t.jsonl>] [--metrics]
                 [--rcache-save <f.dimrc>] [--rcache-load <f.dimrc>]
-                [--telemetry-interval N] [--flight N] [--watchdog]
-                [--flight-out <f.jsonl>] [--certs <f.jsonl>]
+                [--flight N] [--watchdog] [--flight-out <f.jsonl>]
+                [--certs <f.jsonl>]
                                      run with the DIM accelerator attached;
                                      rcache snapshots warm-start later runs;
                                      --flight keeps a last-N-events ring,
@@ -143,8 +142,7 @@ commands:
                                      DIM configs #1..#3 side by side
   suite  [--scale tiny|small|full]   run + validate the MiBench-like suite
   sweep  <spec> [--jobs N] [--out <dir>] [--limit N] [--warm on|off]
-                [--bench-out <dir>] [--explain] [--flight N]
-                [--telemetry-interval N]
+                [--explain] [--flight N] [--telemetry-interval N]
                                      expand a sweep spec and run the grid on a
                                      work-stealing pool (resumable; see
                                      docs/sweeps.md for the spec format); live
@@ -160,7 +158,6 @@ commands:
                                      (--follow polls until the run finishes)
   perf   record --out <f.json> [--name N] [--workloads a,b,c] [--scale S]
                 [--shape 1|2|3] [--slots N] [--no-spec] [--reps N]
-                [--bench-out <dir>]
                                      run the workload matrix and write a
                                      versioned performance baseline
   perf   compare <base> <current> [--json]
@@ -460,6 +457,22 @@ pub(crate) mod tests {
             let err = run_cli(&args).expect_err(command);
             assert!(
                 err.to_string().contains("unknown flag `--bogus`"),
+                "{command}: {err}"
+            );
+        }
+        // `--bench-out` belongs to `serve --selftest` alone, and
+        // `--telemetry-interval` to `sweep` and `serve`.
+        for (command, flag) in [
+            ("sweep", "--bench-out"),
+            ("perf record", "--bench-out"),
+            ("run", "--telemetry-interval"),
+            ("accel", "--telemetry-interval"),
+        ] {
+            let mut args: Vec<&str> = command.split(' ').collect();
+            args.extend([flag, "1"]);
+            let err = run_cli(&args).expect_err(command);
+            assert!(
+                err.to_string().contains(&format!("unknown flag `{flag}`")),
                 "{command}: {err}"
             );
         }

@@ -27,11 +27,11 @@ fn read_baseline(path: &str) -> Result<dim_perf::Baseline, CliError> {
 }
 
 fn cmd_perf_record(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    use dim_perf::{bench_perf_json, record, RecordOptions};
+    use dim_perf::{record, RecordOptions};
     let flags = Flags::parse(
         "perf record",
         args,
-        "--out= --name= --workloads= --scale= --shape= --slots= --reps= --bench-out= --no-spec",
+        "--out= --name= --workloads= --scale= --shape= --slots= --reps= --no-spec",
         0,
     )?;
     let out_path = flags
@@ -82,13 +82,6 @@ fn cmd_perf_record(args: &[String], out: &mut impl Write) -> Result<(), CliError
         baseline.name,
         baseline.workloads.len()
     )?;
-    if let Some(dir) = flags.value("--bench-out") {
-        let dir = Path::new(dir);
-        std::fs::create_dir_all(dir).map_err(CliError::at("--bench-out"))?;
-        let path = dir.join("BENCH_perf.json");
-        std::fs::write(&path, bench_perf_json(&baseline)).map_err(CliError::at(path.display()))?;
-        writeln!(out, "wrote {}", path.display())?;
-    }
     Ok(())
 }
 
@@ -171,15 +164,12 @@ mod tests {
             "1",
             "--reps",
             "1",
-            "--bench-out",
-            dir.to_str().unwrap(),
         ])
         .unwrap();
         assert!(
             report.contains("baseline `local`: 2 workload(s)"),
             "{report}"
         );
-        assert!(dir.join("BENCH_perf.json").exists());
 
         // Gate re-records under the stored matrix; the simulator is
         // deterministic, so the strict default passes.

@@ -31,14 +31,13 @@ pub(crate) fn open_trace_sink(
     path: &str,
     workload: &str,
     bits_per_config: u64,
-    telemetry: Option<u64>,
 ) -> Result<FileSink, CliError> {
     let file = std::fs::File::create(path).map_err(CliError::at(format!("--trace-out {path}")))?;
-    let mut sink = JsonlSink::new(BufWriter::new(file), workload, bits_per_config);
-    if let Some(interval) = telemetry {
-        sink.set_telemetry_interval(interval);
-    }
-    Ok(sink)
+    Ok(JsonlSink::new(
+        BufWriter::new(file),
+        workload,
+        bits_per_config,
+    ))
 }
 
 pub(crate) fn close_trace_sink(
@@ -52,21 +51,6 @@ pub(crate) fn close_trace_sink(
         return Err(CliError::new(format!("--trace-out {path}: {e}")));
     }
     writeln!(out, "trace: {events} events -> {path}")?;
-    Ok(())
-}
-
-/// `--telemetry-interval` without `--trace-out` has nothing to stamp.
-pub(crate) fn check_telemetry_has_trace(
-    cmd: &str,
-    telemetry: Option<u64>,
-    trace_out: Option<&str>,
-) -> Result<(), CliError> {
-    if telemetry.is_some() && trace_out.is_none() {
-        return Err(CliError::new(format!(
-            "{cmd}: --telemetry-interval requires --trace-out (it sets the \
-             trace's telemetry cadence)"
-        )));
-    }
     Ok(())
 }
 
@@ -127,7 +111,7 @@ pub(crate) fn cmd_run(args: &[String], out: &mut impl Write) -> Result<(), CliEr
     let flags = Flags::parse(
         "run",
         args,
-        "--max-steps= --trace-out= --telemetry-interval= --profile --caches",
+        "--max-steps= --trace-out= --profile --caches",
         1,
     )?;
     let input = flags.input("input file")?;
@@ -137,10 +121,7 @@ pub(crate) fn cmd_run(args: &[String], out: &mut impl Write) -> Result<(), CliEr
     if flags.has("--caches") {
         attach_caches(&mut machine);
     }
-    let trace_out = flags.value("--trace-out");
-    let telemetry = flags.telemetry_interval()?;
-    check_telemetry_has_trace("run", telemetry, trace_out)?;
-    let halt = if let Some(path) = trace_out {
+    let halt = if let Some(path) = flags.value("--trace-out") {
         if flags.has("--profile") {
             return Err(CliError::new(
                 "run: --profile and --trace-out are mutually exclusive",
@@ -148,7 +129,7 @@ pub(crate) fn cmd_run(args: &[String], out: &mut impl Write) -> Result<(), CliEr
         }
         // A plain pipeline run has no reconfiguration cache, so the
         // header records 0 bits per configuration.
-        let mut sink = open_trace_sink(path, input, 0, telemetry)?;
+        let mut sink = open_trace_sink(path, input, 0)?;
         let halt = machine.run_probed(max_steps, &mut sink)?;
         close_trace_sink(sink, path, out)?;
         halt
@@ -316,54 +297,6 @@ mod tests {
 
         let summary = run_cli(&["trace", trace.to_str().unwrap()]).unwrap();
         assert!(summary.contains("valid trace"), "{summary}");
-    }
-
-    #[test]
-    fn telemetry_interval_is_validated_everywhere() {
-        let src = tmp_file("t36.s", PROGRAM);
-        let path = src.to_str().unwrap();
-        for cmd in ["run", "accel"] {
-            let err = run_cli(&[cmd, path, "--telemetry-interval", "0"]).unwrap_err();
-            assert!(err.to_string().contains("at least 1 cycle"), "{cmd}: {err}");
-            let err = run_cli(&[cmd, path, "--telemetry-interval", "x"]).unwrap_err();
-            assert!(err.to_string().contains("not a number"), "{cmd}: {err}");
-        }
-        let spec = tmp_file(
-            "t30.spec",
-            "workloads = crc32\nscale = tiny\nshapes = 1\nslots = 16\nspeculation = on\n",
-        );
-        let err =
-            run_cli(&["sweep", spec.to_str().unwrap(), "--telemetry-interval", "0"]).unwrap_err();
-        assert!(err.to_string().contains("at least 1 cycle"), "{err}");
-        // Without a trace, run and accel have nothing to stamp.
-        for cmd in ["run", "accel"] {
-            let err = run_cli(&[cmd, path, "--telemetry-interval", "500"]).unwrap_err();
-            assert!(
-                err.to_string().contains("requires --trace-out"),
-                "{cmd}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn telemetry_interval_stamps_run_and_accel_traces() {
-        let src = tmp_file("t37.s", PROGRAM);
-        let path = src.to_str().unwrap();
-        for cmd in ["run", "accel"] {
-            let trace = std::env::temp_dir().join(format!("dim-cli-tests/t31-{cmd}.jsonl"));
-            run_cli(&[
-                cmd,
-                path,
-                "--trace-out",
-                trace.to_str().unwrap(),
-                "--telemetry-interval",
-                "100",
-            ])
-            .unwrap();
-            let text = std::fs::read_to_string(&trace).unwrap();
-            assert!(text.contains("\"type\":\"telemetry\""), "{cmd}: {text}");
-            dim_obs::replay::read_trace(&text).unwrap();
-        }
     }
 
     #[test]

@@ -355,11 +355,11 @@ impl System {
                 result
             }
             None => self.run_loop(max_instructions, probe, &mut NoSplit),
-        }?;
-        // Refresh the detection-energy account so it is exact even when
-        // the run ends between array invocations.
+        };
+        // Refresh the detection-energy account once per call, so it is
+        // exact after every return, an error included.
         self.stats.translated_instructions = self.translator.observed_instructions();
-        Ok(result)
+        result
     }
 
     /// Runs the loop with a fresh [`HeatTally`], folding it into the
@@ -413,7 +413,7 @@ impl System {
                 // about to execute, which is why the hit holds its own
                 // refcount on the record.)
                 split.enter(HostBucket::Translate);
-                if let Some(partial) = self.translator.take_partial_shared(pc, probe) {
+                if let Some(partial) = self.translator.take_partial_probed(pc, probe) {
                     self.insert_config(partial, probe);
                 }
                 split.exit(HostBucket::Translate);
@@ -442,7 +442,7 @@ impl System {
                 split.enter(HostBucket::Translate);
                 if let Some(done) = self
                     .translator
-                    .observe_shared(&info, &self.predictor, probe)
+                    .observe_probed(&info, &self.predictor, probe)
                 {
                     self.insert_config(done, probe);
                 }
@@ -786,7 +786,6 @@ impl System {
         // The pipeline is drained while the array runs.
         self.machine.reset_hazard_window();
         self.translator.note_boundary();
-        self.stats.translated_instructions = self.translator.observed_instructions();
         Ok(())
     }
 }
@@ -1014,6 +1013,36 @@ mod tests {
         assert_eq!(sys.cache().insertions(), 0);
         assert!(sys.stats().translated_instructions > 0);
         assert_eq!(sys.total_cycles(), base.stats.cycles);
+    }
+
+    /// A run that ends in a fault still leaves `translated_instructions`
+    /// equal to what the translator observed, including the
+    /// instructions interpreted after the last array hit.
+    #[test]
+    fn stats_count_every_observed_instruction_after_a_fault() {
+        let (mut sys, _base) = build(
+            "main: li $t0, 200
+                   li $v0, 0
+             loop: addu $v0, $v0, $t0
+                   xor  $t1, $v0, $t0
+                   addu $v0, $v0, $t1
+                   addiu $t0, $t0, -1
+                   bnez $t0, loop
+                   addiu $t2, $zero, 1
+                   addiu $t2, $t2, 1
+                   addiu $t2, $t2, 1
+                   lw   $t3, 2($zero)
+                   break 0",
+            ArrayShape::config1(),
+            64,
+            true,
+        );
+        assert!(sys.run(10_000_000).is_err(), "the misaligned load faults");
+        assert!(sys.stats().array_invocations > 0, "the loop never hit");
+        assert_eq!(
+            sys.stats().translated_instructions,
+            sys.translator.observed_instructions()
+        );
     }
 
     #[test]

@@ -327,23 +327,14 @@ impl Translator {
     /// slivers (each invocation pays reconfiguration and write-back).
     pub fn take_partial(&mut self, exit_pc: u32) -> Option<Configuration> {
         self.take_partial_probed(exit_pc, &mut NullProbe)
+            .map(|record| record.config().clone())
     }
 
     /// Like [`take_partial`](Translator::take_partial), additionally
     /// emitting a partial [`ProbeEvent::TransCommit`] when the prefix is
-    /// kept.
+    /// kept, and handing back the shared record, which a repeated region
+    /// reuses.
     pub fn take_partial_probed<P: Probe>(
-        &mut self,
-        exit_pc: u32,
-        probe: &mut P,
-    ) -> Option<Configuration> {
-        self.take_partial_shared(exit_pc, probe)
-            .map(|record| record.config().clone())
-    }
-
-    /// [`take_partial_probed`](Translator::take_partial_probed) handing
-    /// back the shared record, which a repeated region reuses.
-    pub(crate) fn take_partial_shared<P: Probe>(
         &mut self,
         exit_pc: u32,
         probe: &mut P,
@@ -447,24 +438,14 @@ impl Translator {
         predictor: &BimodalPredictor,
     ) -> Option<Configuration> {
         self.observe_probed(info, predictor, &mut NullProbe)
+            .map(|record| record.config().clone())
     }
 
     /// Like [`observe`](Translator::observe), additionally emitting
     /// [`ProbeEvent::TransBegin`] when a detection region opens and
-    /// [`ProbeEvent::TransCommit`] when one closes worth caching.
+    /// [`ProbeEvent::TransCommit`] when one closes worth caching, and
+    /// handing back the shared record, which a repeated region reuses.
     pub fn observe_probed<P: Probe>(
-        &mut self,
-        info: &StepInfo,
-        predictor: &BimodalPredictor,
-        probe: &mut P,
-    ) -> Option<Configuration> {
-        self.observe_shared(info, predictor, probe)
-            .map(|record| record.config().clone())
-    }
-
-    /// [`observe_probed`](Translator::observe_probed) handing back the
-    /// shared record, which a repeated region reuses.
-    pub(crate) fn observe_shared<P: Probe>(
         &mut self,
         info: &StepInfo,
         predictor: &BimodalPredictor,
@@ -860,11 +841,11 @@ mod tests {
             } else {
                 add(Reg::T0, Reg::T0, Reg::A0)
             };
-            let done = t.observe_shared(&step(0x100 + 4 * i, inst, None), &p, &mut NullProbe);
+            let done = t.observe_probed(&step(0x100 + 4 * i, inst, None), &p, &mut NullProbe);
             assert!(done.is_none());
         }
         let (inst, taken) = last?;
-        t.observe_shared(&step(0x114, inst, taken), &p, &mut NullProbe)
+        t.observe_probed(&step(0x114, inst, taken), &p, &mut NullProbe)
     }
 
     /// A region that repeats its entry's last outcome hands back the
@@ -903,7 +884,7 @@ mod tests {
                     &p,
                 );
             }
-            t.take_partial_shared(exit_pc, &mut NullProbe)
+            t.take_partial_probed(exit_pc, &mut NullProbe)
                 .expect("nine ops are kept")
         };
         let first = nine(&mut t, 0x324);
@@ -996,7 +977,7 @@ mod tests {
                 );
                 assert!(done.is_none());
             }
-            t.take_partial_shared(0x300 + 4 * ops, &mut NullProbe)
+            t.take_partial_probed(0x300 + 4 * ops, &mut NullProbe)
                 .expect("eight or more ops are kept")
         };
         let short = region(&mut t, 9);

@@ -513,10 +513,14 @@ fn run_chunk(
     for call in chunk {
         match *call {
             Call::Observe(info) => {
-                out.push(translator.observe_probed(&info, predictor, &mut events));
+                let record = translator.observe_probed(&info, predictor, &mut events);
+                out.push(record.map(|r| r.config().clone()));
             }
             Call::Predict(pc, taken) => predictor.update(pc, taken),
-            Call::Partial(pc) => out.push(translator.take_partial_probed(pc, &mut events)),
+            Call::Partial(pc) => {
+                let record = translator.take_partial_probed(pc, &mut events);
+                out.push(record.map(|r| r.config().clone()));
+            }
             Call::Abandon => translator.abandon_region(),
         }
     }

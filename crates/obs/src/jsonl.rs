@@ -8,12 +8,9 @@
 //! `retire_batch` records — a trace stays one line per array-invocation
 //! region instead of one line per instruction.
 //!
-//! With [`JsonlSink::set_telemetry_interval`] the sink additionally
-//! emits periodic `telemetry` records (schema version 2): cumulative
-//! simulated cycles, retired instructions, and host wall-clock
-//! nanoseconds since the sink was created. Telemetry lines are written
-//! by the sink itself, not observed through the probe, so they do *not*
-//! count toward the footer's `events` total.
+//! The sink writes no `telemetry` records; the reader still accepts
+//! them in traces of schema version 2 and later (see
+//! [`crate::replay`]).
 //!
 //! [`Retire`]: ProbeEvent::Retire
 //! [`RcacheMiss`]: ProbeEvent::RcacheMiss
@@ -22,7 +19,6 @@ use crate::event::{ProbeEvent, RetireKind, SCHEMA_VERSION};
 use crate::json::ObjectWriter;
 use crate::probe::Probe;
 use std::io::{self, Write};
-use std::time::Instant;
 
 /// Maximum retires coalesced into one `retire_batch` record.
 const BATCH_CAP: u64 = 4096;
@@ -64,21 +60,8 @@ pub struct JsonlSink<W: Write> {
     batch: Batch,
     /// Events emitted (batched retires count individually).
     events: u64,
-    /// Lines written, including header.
-    lines: u64,
     finished: bool,
     error: Option<io::Error>,
-    /// Simulated cycles between telemetry records (0 disables them).
-    telemetry_interval: u64,
-    /// Cumulative simulated cycles observed.
-    sim_cycles: u64,
-    /// Cumulative retired instructions observed.
-    retired: u64,
-    /// `sim_cycles` value at the last telemetry record.
-    last_telemetry_cycle: u64,
-    /// Telemetry records written so far.
-    telemetry_seq: u64,
-    started: Instant,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -106,15 +89,8 @@ impl<W: Write> JsonlSink<W> {
             out,
             batch: Batch::default(),
             events: 0,
-            lines: 0,
             finished: false,
             error: None,
-            telemetry_interval: 0,
-            sim_cycles: 0,
-            retired: 0,
-            last_telemetry_cycle: 0,
-            telemetry_seq: 0,
-            started: Instant::now(),
         };
         let mut o = ObjectWriter::new();
         o.field_str("type", "header");
@@ -126,14 +102,6 @@ impl<W: Write> JsonlSink<W> {
         }
         sink.write_line(&o.finish());
         sink
-    }
-
-    /// Emits a `telemetry` record every `interval_cycles` simulated
-    /// cycles (0, the default, disables telemetry). A final record is
-    /// always written at [`finish`](Probe::finish) when enabled, so even
-    /// short runs get one full-run sample.
-    pub fn set_telemetry_interval(&mut self, interval_cycles: u64) {
-        self.telemetry_interval = interval_cycles;
     }
 
     /// The first write error, if any occurred (clears it).
@@ -160,9 +128,8 @@ impl<W: Write> JsonlSink<W> {
             .out
             .write_all(line.as_bytes())
             .and_then(|()| self.out.write_all(b"\n"));
-        match res {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
+        if let Err(e) = res {
+            self.error = Some(e);
         }
     }
 
@@ -186,20 +153,6 @@ impl<W: Write> JsonlSink<W> {
         o.field_u64("rcache_misses", batch.rcache_misses);
         o.field_raw("kinds", &kinds.finish());
         self.write_line(&o.finish());
-    }
-
-    fn write_telemetry(&mut self) {
-        self.flush_batch();
-        let mut o = ObjectWriter::new();
-        o.field_str("type", "telemetry");
-        o.field_u64("seq", self.telemetry_seq);
-        o.field_u64("sim_cycles", self.sim_cycles);
-        o.field_u64("retired", self.retired);
-        o.field_u64("events", self.events);
-        o.field_u64("host_nanos", self.started.elapsed().as_nanos() as u64);
-        self.write_line(&o.finish());
-        self.telemetry_seq += 1;
-        self.last_telemetry_cycle = self.sim_cycles;
     }
 
     fn write_event(&mut self, event: &ProbeEvent) {
@@ -296,10 +249,6 @@ impl<W: Write> JsonlSink<W> {
 impl<W: Write> Probe for JsonlSink<W> {
     fn emit(&mut self, event: ProbeEvent) {
         self.events += 1;
-        self.sim_cycles += event.cycles();
-        if matches!(event, ProbeEvent::Retire { .. }) {
-            self.retired += 1;
-        }
         match event {
             ProbeEvent::Retire {
                 kind,
@@ -329,11 +278,6 @@ impl<W: Write> Probe for JsonlSink<W> {
                 self.write_event(&other);
             }
         }
-        if self.telemetry_interval > 0
-            && self.sim_cycles - self.last_telemetry_cycle >= self.telemetry_interval
-        {
-            self.write_telemetry();
-        }
     }
 
     fn finish(&mut self) {
@@ -341,9 +285,6 @@ impl<W: Write> Probe for JsonlSink<W> {
             return;
         }
         self.finished = true;
-        if self.telemetry_interval > 0 {
-            self.write_telemetry();
-        }
         self.flush_batch();
         let mut o = ObjectWriter::new();
         o.field_str("type", "footer");
@@ -451,35 +392,6 @@ mod tests {
         let (bytes, err) = sink.into_inner();
         assert!(err.is_none());
         for line in String::from_utf8(bytes).unwrap().lines() {
-            json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-        }
-    }
-
-    #[test]
-    fn telemetry_records_do_not_count_as_events() {
-        let mut sink = JsonlSink::new(Vec::new(), "t", 0);
-        sink.set_telemetry_interval(2);
-        for i in 0..4 {
-            sink.emit(retire(i * 4, RetireKind::Alu)); // 3 cycles each
-        }
-        let (bytes, err) = sink.into_inner();
-        assert!(err.is_none());
-        let text = String::from_utf8(bytes).unwrap();
-        let telemetry: Vec<_> = text
-            .lines()
-            .filter(|l| l.contains("\"telemetry\""))
-            .collect();
-        // One per crossed interval plus the final sample at finish.
-        assert!(telemetry.len() >= 2, "{text}");
-        let last = json::parse(telemetry.last().unwrap()).unwrap();
-        assert_eq!(last.get("sim_cycles").unwrap().as_u64(), Some(12));
-        assert_eq!(last.get("retired").unwrap().as_u64(), Some(4));
-        assert!(last.get("host_nanos").unwrap().as_u64().is_some());
-        // The footer still counts only probe events.
-        let footer = text.lines().last().unwrap();
-        let footer = json::parse(footer).unwrap();
-        assert_eq!(footer.get("events").unwrap().as_u64(), Some(4));
-        for line in text.lines() {
             json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
     }

@@ -18,8 +18,9 @@
 //! one JSON header line (span/attr counts, drop counter, body
 //! checksum) over a JSONL body of span lines and host-attribution
 //! lines. Span files live *outside* the determinism contract, next to
-//! `telemetry.json`: two identical runs produce identical trees but
-//! different nanosecond values.
+//! `summary.json` and `status.dimstat`: two identical runs produce
+//! identical trees but different nanosecond values. A sweep cell's
+//! root span is the one record of its wall time.
 //!
 //! The analysis side ([`SpanFile`] → [`SpanForest`]) rebuilds the
 //! causal trees, trims orphans, checks well-formedness laws (every

@@ -9,7 +9,7 @@
 //! mid-write never sees a torn file, and the header's FNV-1a body
 //! checksum catches any that slips through.
 //!
-//! Status files are *advisory* host-side output: like `telemetry.json`,
+//! Status files are *advisory* host-side output: like `spans.dimspan`,
 //! they sit outside the sweep's serial-vs-parallel byte-identity
 //! determinism contract (wall-clock fields make them inherently
 //! nondeterministic).

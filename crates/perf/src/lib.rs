@@ -31,7 +31,7 @@ pub use baseline::{
 pub use compare::{compare, Comparison, MetricDelta, WorkloadDiff};
 pub use gate::{gate, GateFinding, GateOutcome, ToleranceSpec};
 pub use host::{peak_rss_bytes, sim_mips};
-pub use record::{bench_perf_json, record, RecordOptions};
+pub use record::{record, RecordOptions};
 
 use std::fmt;
 

@@ -10,7 +10,6 @@ use dim_bench::{check_accelerated, run_baseline, run_explained, speedup};
 use dim_cgra::{ArrayShape, ShapeChoice};
 use dim_core::{System, SystemConfig};
 use dim_mips_sim::Machine;
-use dim_obs::ObjectWriter;
 use dim_workloads::{by_name, Scale, WorkloadError};
 use std::time::Instant;
 
@@ -93,14 +92,20 @@ impl RecordOptions {
 ///
 /// # Errors
 ///
-/// Fails on unknown workloads/scales/shapes and on any workload that
-/// does not run and validate — a baseline must only ever hold correct
-/// runs.
+/// Fails on unknown workloads/scales/shapes, on a workload listed twice
+/// (which [`Baseline::parse`] would reject) before anything runs, and
+/// on any workload that does not run and validate — a baseline must
+/// only ever hold correct runs.
 pub fn record(opts: &RecordOptions) -> Result<Baseline, PerfError> {
     let scale = opts.parse_scale()?;
     let shape = opts.shape()?;
     if opts.workloads.is_empty() {
         return Err(PerfError::Parse("no workloads selected".into()));
+    }
+    for (i, name) in opts.workloads.iter().enumerate() {
+        if opts.workloads[..i].contains(name) {
+            return Err(PerfError::Parse(format!("duplicate workload `{name}`")));
+        }
     }
     let reps = opts.host_reps.max(1);
     let mut workloads = Vec::new();
@@ -194,45 +199,4 @@ pub fn record(opts: &RecordOptions) -> Result<Baseline, PerfError> {
         matrix: opts.matrix(),
         workloads,
     })
-}
-
-/// Host-telemetry export for harness consumption (`BENCH_perf.json`):
-/// the non-deterministic side of a recording, kept out of the baseline
-/// diff surface that gates regressions.
-pub fn bench_perf_json(baseline: &Baseline) -> String {
-    let mut per = String::from("[");
-    for (i, w) in baseline.workloads.iter().enumerate() {
-        if i > 0 {
-            per.push(',');
-        }
-        let mut o = ObjectWriter::new();
-        o.field_str("workload", &w.name);
-        o.field_u64("wall_nanos_min", w.host.wall_nanos_min);
-        o.field_f64("wall_nanos_mean", w.host.wall_nanos_mean);
-        o.field_f64("sim_mips", w.host.sim_mips);
-        o.field_u64("retired", w.retired);
-        per.push_str(&o.finish());
-    }
-    per.push(']');
-    let total_wall: u64 = baseline
-        .workloads
-        .iter()
-        .map(|w| w.host.wall_nanos_min)
-        .sum();
-    let mut o = ObjectWriter::new();
-    o.field_str("bench", "perf");
-    o.field_str("baseline", &baseline.name);
-    o.field_u64("workloads", baseline.workloads.len() as u64);
-    o.field_u64("total_wall_nanos_min", total_wall);
-    o.field_u64(
-        "peak_rss_bytes",
-        baseline
-            .workloads
-            .iter()
-            .map(|w| w.host.peak_rss_bytes)
-            .max()
-            .unwrap_or(0),
-    );
-    o.field_raw("per_workload", &per);
-    o.finish()
 }

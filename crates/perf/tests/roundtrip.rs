@@ -99,3 +99,14 @@ fn unknown_workload_is_rejected() {
     let err = record(&opts).unwrap_err();
     assert!(err.to_string().contains("unknown workload"), "{err}");
 }
+
+#[test]
+fn repeated_workload_is_rejected_before_anything_runs() {
+    let mut opts = tiny_options();
+    // The unknown name sits between the two, so an error about it would
+    // mean crc32 had already run.
+    opts.workloads = vec!["crc32".into(), "not-a-kernel".into(), "crc32".into()];
+    let err = record(&opts).unwrap_err();
+    assert!(matches!(err, dim_perf::PerfError::Parse(_)), "{err:?}");
+    assert_eq!(err.to_string(), "duplicate workload `crc32`");
+}

@@ -1,14 +1,14 @@
 //! Sweep execution: expansion → (resume filtering) → parallel run →
 //! deterministic aggregation.
 //!
-//! Determinism contract: everything under `cells/` and the final
-//! `report.txt` depends only on the spec and the simulators — never on
-//! wall-clock, worker count or completion order — so a parallel sweep
-//! is byte-identical to `--jobs 1`. Host-dependent material (timing,
-//! steal counts, queue-depth histograms, the live `status.dimstat`
-//! board, and `flight/` failure dumps) is confined to `summary.json`,
-//! `telemetry.json`, `trend.jsonl`, `BENCH_sweep.json`, and those
-//! files — never `cells/` or `report.txt`.
+//! Determinism contract: everything under `cells/` and `heat/` and the
+//! final `report.txt` depends only on the spec and the simulators —
+//! never on wall-clock, worker count or completion order — so a
+//! parallel sweep is byte-identical to `--jobs 1`. Host-dependent
+//! material is confined to `summary.json` (wall time, steal counts, the
+//! per-job time histogram), `spans.dimspan` (each cell's wall time is
+//! its root span), the live `status.dimstat` board and the `flight/`
+//! failure dumps — never `cells/`, `heat/` or `report.txt`.
 
 use crate::fsio::atomic_write;
 use crate::journal::{cell_is_done, Journal};
@@ -22,10 +22,8 @@ use dim_workloads::{run_baseline, BuiltBenchmark};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
+use std::sync::Arc;
 
 /// Sweep failure.
 #[derive(Debug)]
@@ -72,8 +70,8 @@ pub struct SweepOptions {
     /// Overrides the spec's `warm_rcache` setting when set.
     pub warm_rcache: Option<bool>,
     /// Also trace each cell and write a per-region forensics report to
-    /// `explain/<id>.json`. Host-convenience output: like the telemetry
-    /// files it sits outside the determinism contract (`cells/` and
+    /// `explain/<id>.json`. Host-convenience output: like the status
+    /// board it sits outside the determinism contract (`cells/` and
     /// `report.txt` stay byte-identical with or without it).
     pub explain: bool,
     /// Flight-recorder window (events) for failed cells. Every cell
@@ -211,8 +209,7 @@ fn run_cell(
 
     // Per-cell fabric heat summary for `heat/<id>.json`. Derived from
     // the deterministic heat counters alone, so serial and parallel
-    // sweeps write byte-identical files; still host-convenience output
-    // like `explain/` — `cells/` and `report.txt` are unaffected.
+    // sweeps write byte-identical files.
     let mut heat_json = dim_core::fabric_heat_json(system.fabric_heat());
     heat_json.push('\n');
     atomic_write(&cell_heat_path(out_dir, &cell.id), heat_json.as_bytes())
@@ -309,10 +306,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     }
 
     let journal = Journal::open_append(&journal_path)?;
-    // Host-side per-cell wall times: collected under a lock in whatever
-    // order cells finish, sorted by id before writing so the telemetry
-    // file itself is stable apart from the times.
-    let cell_wall: Mutex<Vec<(String, u64)>> = Mutex::new(Vec::new());
     let threads = opts.jobs.max(1);
     let clock: SharedClock = MonotonicClock::shared();
     let board = StatusBoard::new(
@@ -347,7 +340,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
             let cell = (*cell).clone();
             let (built, baseline) = &workloads[cell.workload.as_str()];
             let journal = &journal;
-            let cell_wall = &cell_wall;
             let ctx = &ctx;
             move |w: usize| -> Result<(), SweepError> {
                 let cell_started = ctx.clock.now_nanos();
@@ -390,10 +382,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
                     agg.fabric_capacity_thirds += worker.fabric_capacity_thirds;
                     agg.host_nanos = ctx.clock.now_nanos().saturating_sub(start_nanos);
                 });
-                cell_wall
-                    .lock()
-                    .expect("telemetry lock")
-                    .push((cell.id.clone(), cell_nanos));
                 Ok(())
             }
         })
@@ -449,73 +437,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     let mut summary = w.finish();
     summary.push('\n');
     atomic_write(&out_dir.join("summary.json"), summary.as_bytes())?;
-
-    write_telemetry(out_dir, cell_wall.into_inner().expect("telemetry lock"))?;
-    append_trend(out_dir, &outcome, opts.jobs.max(1))?;
-
     Ok(outcome)
-}
-
-/// Writes per-cell wall times to `telemetry.json` (host-side data, so
-/// outside the determinism contract; the id order is still stable).
-fn write_telemetry(out_dir: &Path, mut wall: Vec<(String, u64)>) -> Result<(), SweepError> {
-    if wall.is_empty() {
-        return Ok(());
-    }
-    wall.sort_by(|a, b| a.0.cmp(&b.0));
-    let total: u64 = wall.iter().map(|(_, n)| n).sum();
-    let mut cells = String::from("[");
-    for (i, (id, nanos)) in wall.iter().enumerate() {
-        if i > 0 {
-            cells.push(',');
-        }
-        let mut o = ObjectWriter::new();
-        o.field_str("id", id).field_u64("wall_nanos", *nanos);
-        cells.push_str(&o.finish());
-    }
-    cells.push(']');
-    let mut w = ObjectWriter::new();
-    w.field_u64("executed", wall.len() as u64)
-        .field_u64("total_wall_nanos", total)
-        .field_raw("cells", &cells);
-    let mut json = w.finish();
-    json.push('\n');
-    atomic_write(&out_dir.join("telemetry.json"), json.as_bytes())?;
-    Ok(())
-}
-
-/// Appends one line per invocation to `trend.jsonl`, the sweep's
-/// throughput history across runs — resumable sweeps accumulate one
-/// record per invocation, so throughput drift stays visible over time.
-fn append_trend(out_dir: &Path, outcome: &SweepOutcome, jobs: usize) -> Result<(), SweepError> {
-    if outcome.executed == 0 {
-        return Ok(());
-    }
-    let unix_seconds = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let throughput = if outcome.wall_seconds > 0.0 {
-        outcome.executed as f64 / outcome.wall_seconds
-    } else {
-        0.0
-    };
-    let mut w = ObjectWriter::new();
-    w.field_u64("unix_seconds", unix_seconds)
-        .field_u64("executed", outcome.executed as u64)
-        .field_u64("skipped", outcome.skipped as u64)
-        .field_u64("total_cells", outcome.total_cells as u64)
-        .field_bool("complete", outcome.complete)
-        .field_u64("jobs", jobs as u64)
-        .field_f64("wall_seconds", outcome.wall_seconds)
-        .field_f64("cells_per_second", throughput);
-    let mut line = w.finish();
-    line.push('\n');
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(out_dir.join("trend.jsonl"))?;
-    file.write_all(line.as_bytes())?;
-    Ok(())
 }
 
 /// Renders the deterministic cross-cell report from the on-disk cell
@@ -561,93 +483,4 @@ fn render_report(
         ));
     }
     Ok(out)
-}
-
-/// Serial-vs-parallel comparison for `BENCH_sweep.json`.
-#[derive(Debug)]
-pub struct BenchCompare {
-    /// Cells per side.
-    pub cells: usize,
-    /// Serial (`--jobs 1`) wall-clock.
-    pub serial_seconds: f64,
-    /// Parallel wall-clock.
-    pub parallel_seconds: f64,
-    /// Worker threads used for the parallel side.
-    pub jobs: usize,
-    /// Whether every parallel cell result was byte-identical to serial.
-    pub identical: bool,
-    /// serial/parallel wall-clock ratio (1.0 when parallel is 0).
-    pub speedup: f64,
-}
-
-/// Runs the same sweep serially and with `jobs` workers into sibling
-/// directories under `out_base`, verifies the results are
-/// byte-identical, and writes `BENCH_sweep.json`.
-///
-/// # Errors
-///
-/// Propagates either side's sweep failure or I/O errors.
-pub fn bench_compare(
-    spec: &SweepSpec,
-    out_base: &Path,
-    jobs: usize,
-) -> Result<BenchCompare, SweepError> {
-    let serial_dir = out_base.join("serial");
-    let parallel_dir = out_base.join("parallel");
-
-    let mut serial_opts = SweepOptions::new(serial_dir.clone());
-    serial_opts.jobs = 1;
-    let serial = run_sweep(spec, &serial_opts)?;
-
-    let mut parallel_opts = SweepOptions::new(parallel_dir.clone());
-    parallel_opts.jobs = jobs.max(1);
-    let parallel = run_sweep(spec, &parallel_opts)?;
-
-    let mut identical = true;
-    for cell in spec.expand() {
-        let a = std::fs::read(cell_result_path(&serial_dir, &cell.id))?;
-        let b = std::fs::read(cell_result_path(&parallel_dir, &cell.id))?;
-        if a != b {
-            identical = false;
-        }
-        // Heat summaries derive from deterministic counters, so they
-        // share the byte-identity guarantee with `cells/`.
-        let a = std::fs::read(cell_heat_path(&serial_dir, &cell.id))?;
-        let b = std::fs::read(cell_heat_path(&parallel_dir, &cell.id))?;
-        if a != b {
-            identical = false;
-        }
-    }
-    let report_a = std::fs::read(serial_dir.join("report.txt"))?;
-    let report_b = std::fs::read(parallel_dir.join("report.txt"))?;
-    if report_a != report_b {
-        identical = false;
-    }
-
-    let compare = BenchCompare {
-        cells: serial.total_cells,
-        serial_seconds: serial.wall_seconds,
-        parallel_seconds: parallel.wall_seconds,
-        jobs: parallel_opts.jobs,
-        identical,
-        speedup: if parallel.wall_seconds > 0.0 {
-            serial.wall_seconds / parallel.wall_seconds
-        } else {
-            1.0
-        },
-    };
-    let mut w = ObjectWriter::new();
-    w.field_str("bench", "sweep_parallel_scaling")
-        .field_u64("cells", compare.cells as u64)
-        .field_u64("jobs", compare.jobs as u64)
-        .field_f64("serial_seconds", compare.serial_seconds)
-        .field_f64("parallel_seconds", compare.parallel_seconds)
-        .field_f64("speedup", compare.speedup)
-        .field_bool("identical_results", compare.identical)
-        .field_raw("serial_pool", &serial.pool.to_json())
-        .field_raw("parallel_pool", &parallel.pool.to_json());
-    let mut json = w.finish();
-    json.push('\n');
-    atomic_write(&out_base.join("BENCH_sweep.json"), json.as_bytes())?;
-    Ok(compare)
 }

@@ -47,10 +47,7 @@ mod pool;
 mod run;
 mod spec;
 
-pub use engine::{
-    bench_compare, run_sweep, BenchCompare, SweepError, SweepOptions, SweepOutcome,
-    DEFAULT_FLIGHT_CAPACITY,
-};
+pub use engine::{run_sweep, SweepError, SweepOptions, SweepOutcome, DEFAULT_FLIGHT_CAPACITY};
 pub use fsio::atomic_write;
 pub use journal::Journal;
 pub use pool::{execute_jobs, PoolStats};

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 /// Execution statistics for one pool run. Wall-clock figures here are
 /// host-dependent and must only ever feed timing reports
-/// (`summary.json`, `BENCH_sweep.json`), never deterministic artifacts.
+/// (`summary.json`), never deterministic artifacts.
 #[derive(Debug)]
 pub struct PoolStats {
     /// Worker count actually used.
@@ -29,8 +29,6 @@ pub struct PoolStats {
     pub executed: Vec<u64>,
     /// Jobs each worker obtained by stealing.
     pub steals: Vec<u64>,
-    /// Own-queue depth observed at each local dequeue attempt.
-    pub queue_depth: LogHistogram,
     /// Per-job wall-clock in microseconds.
     pub job_micros: LogHistogram,
 }
@@ -46,7 +44,7 @@ impl PoolStats {
         self.executed.iter().sum()
     }
 
-    /// JSON object for `summary.json` / `BENCH_sweep.json`.
+    /// JSON object for `summary.json`.
     pub fn to_json(&self) -> String {
         let list = |v: &[u64]| {
             let items: Vec<String> = v.iter().map(std::string::ToString::to_string).collect();
@@ -57,7 +55,6 @@ impl PoolStats {
             .field_raw("executed_per_worker", &list(&self.executed))
             .field_raw("steals_per_worker", &list(&self.steals))
             .field_u64("total_steals", self.total_steals())
-            .field_raw("queue_depth", &self.queue_depth.to_json())
             .field_raw("job_micros", &self.job_micros.to_json());
         w.finish()
     }
@@ -91,7 +88,6 @@ where
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let executed: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let steals: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let queue_depth = Mutex::new(LogHistogram::new());
     let job_micros = Mutex::new(LogHistogram::new());
     let clock = MonotonicClock::new();
 
@@ -101,18 +97,10 @@ where
             let results = &results;
             let executed = &executed;
             let steals = &steals;
-            let queue_depth = &queue_depth;
             let job_micros = &job_micros;
             let clock = &clock;
             scope.spawn(move || loop {
-                let local = {
-                    let mut q = queues[w].lock().unwrap();
-                    let depth = q.len() as u64;
-                    let job = q.pop_front();
-                    drop(q);
-                    queue_depth.lock().unwrap().record(depth);
-                    job
-                };
+                let local = queues[w].lock().unwrap().pop_front();
                 let (index, job) = match local {
                     Some(pair) => pair,
                     None => {
@@ -164,7 +152,6 @@ where
             .into_iter()
             .map(std::sync::atomic::AtomicU64::into_inner)
             .collect(),
-        queue_depth: queue_depth.into_inner().unwrap(),
         job_micros: job_micros.into_inner().unwrap(),
     };
     (results, stats)

@@ -1,7 +1,7 @@
 //! End-to-end sweep engine tests: parallel/serial byte-identity,
 //! kill-and-resume via `--limit`, and rcache warm-start reuse.
 
-use dim_sweep::{bench_compare, run_sweep, SweepOptions, SweepSpec};
+use dim_sweep::{run_sweep, SweepOptions, SweepSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -142,64 +142,71 @@ fn limit_interrupt_then_resume_skips_done_cells() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The out-dir's top-level entries, directories marked with a `/`.
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            if entry.file_type().unwrap().is_dir() {
+                name + "/"
+            } else {
+                name
+            }
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// A sweep writes only its documented outputs, whether it runs to
+/// completion at once or is resumed: each cell's wall time lives in
+/// `spans.dimspan` and the invocation's throughput in `summary.json`,
+/// and nothing else repeats them.
 #[test]
-fn telemetry_and_trend_accumulate_across_invocations() {
-    let spec = tiny_spec();
-    let dir = scratch("telemetry");
+fn a_sweep_writes_only_its_documented_outputs() {
+    let spec = SweepSpec::parse(
+        "workloads = crc32, bitcount\n\
+         scale = tiny\n\
+         shapes = 1, 3\n\
+         slots = 16\n\
+         speculation = on\n\
+         warm_rcache = on\n",
+    )
+    .unwrap();
+    let documented = [
+        "cells/",
+        "heat/",
+        "journal.txt",
+        "rcache/",
+        "report.txt",
+        "spans.dimspan",
+        "status.dimstat",
+        "summary.json",
+    ];
 
-    // Partial run: telemetry covers the two executed cells, trend gains
-    // its first line.
-    let mut first = SweepOptions::new(dir.clone());
+    let complete = scratch("outputs-complete");
+    assert!(
+        run_sweep(&spec, &SweepOptions::new(complete.clone()))
+            .unwrap()
+            .complete
+    );
+    assert_eq!(entries(&complete), documented);
+
+    let resumed = scratch("outputs-resumed");
+    let mut first = SweepOptions::new(resumed.clone());
     first.limit = Some(2);
-    run_sweep(&spec, &first).unwrap();
-    let telemetry = fs::read_to_string(dir.join("telemetry.json")).unwrap();
-    let value = dim_obs::parse_json(&telemetry).unwrap();
-    assert_eq!(
-        value.get("executed").and_then(dim_obs::JsonValue::as_u64),
-        Some(2)
+    assert!(!run_sweep(&spec, &first).unwrap().complete);
+    assert!(
+        run_sweep(&spec, &SweepOptions::new(resumed.clone()))
+            .unwrap()
+            .complete
     );
-    let cells = value.get("cells").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(cells.len(), 2);
-    for cell in cells {
-        assert!(cell.get("id").and_then(|v| v.as_str()).is_some());
-        assert!(cell
-            .get("wall_nanos")
-            .and_then(dim_obs::JsonValue::as_u64)
-            .is_some());
-    }
-    let trend = fs::read_to_string(dir.join("trend.jsonl")).unwrap();
-    assert_eq!(trend.lines().count(), 1);
+    assert_eq!(entries(&resumed), documented);
 
-    // Resume to completion: telemetry is rewritten for the newly
-    // executed cells and trend appends a second record.
-    run_sweep(&spec, &SweepOptions::new(dir.clone())).unwrap();
-    let trend = fs::read_to_string(dir.join("trend.jsonl")).unwrap();
-    assert_eq!(trend.lines().count(), 2);
-    for line in trend.lines() {
-        let record = dim_obs::parse_json(line).unwrap();
-        assert!(
-            record
-                .get("executed")
-                .and_then(dim_obs::JsonValue::as_u64)
-                .unwrap()
-                > 0
-        );
-        assert!(record.get("cells_per_second").is_some());
-    }
-
-    // A no-op invocation (everything already done) must not pad the
-    // history or clobber telemetry with an empty snapshot.
-    run_sweep(&spec, &SweepOptions::new(dir.clone())).unwrap();
-    let trend = fs::read_to_string(dir.join("trend.jsonl")).unwrap();
-    assert_eq!(trend.lines().count(), 2);
-    let telemetry = fs::read_to_string(dir.join("telemetry.json")).unwrap();
-    let value = dim_obs::parse_json(&telemetry).unwrap();
-    assert_eq!(
-        value.get("executed").and_then(dim_obs::JsonValue::as_u64),
-        Some(2)
-    );
-
-    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(&complete).ok();
+    fs::remove_dir_all(&resumed).ok();
 }
 
 #[test]
@@ -315,33 +322,6 @@ fn explain_sweep_writes_forensics_without_perturbing_results() {
 }
 
 #[test]
-fn bench_compare_writes_report_and_matches() {
-    let spec = SweepSpec::parse(
-        "workloads = crc32\nscale = tiny\nshapes = 1, 3\nslots = 16\nspeculation = on",
-    )
-    .unwrap();
-    let base = scratch("bench");
-    let compare = bench_compare(&spec, &base, 2).unwrap();
-    assert!(compare.identical, "parallel must match serial");
-    assert_eq!(compare.cells, 2);
-
-    let json = fs::read_to_string(base.join("BENCH_sweep.json")).unwrap();
-    let parsed = dim_obs::parse_json(&json).unwrap();
-    assert_eq!(
-        parsed
-            .get("identical_results")
-            .and_then(dim_obs::JsonValue::as_bool),
-        Some(true)
-    );
-    assert_eq!(
-        parsed.get("jobs").and_then(dim_obs::JsonValue::as_u64),
-        Some(2)
-    );
-
-    fs::remove_dir_all(&base).ok();
-}
-
-#[test]
 fn status_file_is_published_and_valid_but_outside_the_contract() {
     use dim_obs::status::{read_status, STATUS_FILE_NAME};
 
@@ -368,7 +348,7 @@ fn status_file_is_published_and_valid_but_outside_the_contract() {
         .iter()
         .all(|e| e.source.starts_with("worker-")));
 
-    // Like telemetry.json, status.dimstat is host-side output: the
+    // Like spans.dimspan, status.dimstat is host-side output: the
     // deterministic artifacts must be byte-identical with the flight
     // recorder and status publishing disabled entirely.
     let bare_dir = scratch("status-bare");
