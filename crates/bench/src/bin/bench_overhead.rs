@@ -197,9 +197,6 @@ fn run_once(row: Row, built: &BuiltBenchmark, spans: &mut Spans) -> (u64, u64) {
         }
     };
     if let Some((root, exec)) = request {
-        if let Some(split) = sys.host_split() {
-            spans.sheet.attr(exec, split);
-        }
         spans.sheet.end(exec);
         spans.sheet.end(root);
     }

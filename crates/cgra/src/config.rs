@@ -469,8 +469,8 @@ impl Configuration {
         timing.thirds_to_cycles(self.exec_thirds(timing, upto_depth))
     }
 
-    /// The pre-rounding row-delay sum behind [`exec_cycles`]
-    /// (Configuration::exec_cycles): thirds of a cycle over every
+    /// The pre-rounding row-delay sum behind
+    /// [`exec_cycles`](Configuration::exec_cycles): thirds of a cycle over every
     /// traversed row. Exposed so the heat accumulator can reconcile
     /// per-row activity against the charged cycles exactly.
     pub fn exec_thirds(&self, timing: &ArrayTiming, upto_depth: u8) -> u64 {

@@ -223,7 +223,7 @@ pub(crate) fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), Cli
     }
     if let Some(path) = rcache_save {
         let bytes = system.save_rcache();
-        dim_sweep::atomic_write(Path::new(path), &bytes)
+        dim_obs::frame::atomic_write(Path::new(path), &bytes)
             .map_err(CliError::at(format!("--rcache-save {path}")))?;
         writeln!(
             out,

@@ -3,8 +3,8 @@
 //!
 //! The analyzer never re-times anything — it works purely from the
 //! recorded monotonic-clock intervals: per-stage latency percentiles,
-//! per-tenant aggregation, the slowest request's waterfall with its
-//! critical path, and the engine's host-time attribution buckets.
+//! per-tenant aggregation, and the slowest request's waterfall with its
+//! critical path.
 //! `--json` emits the same aggregates machine-readably; `--chrome-out`
 //! exports every tree as Chrome trace events (one track per request).
 
@@ -63,20 +63,6 @@ fn tenant_walls(forest: &SpanForest) -> BTreeMap<&str, Vec<u64>> {
         walls.sort_unstable();
     }
     map
-}
-
-/// Host-attribution buckets summed over every span in the dump.
-fn bucket_totals(file: &SpanFile) -> BTreeMap<&str, (u64, u64, u64)> {
-    let mut totals: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-    for attr in &file.attrs {
-        for bucket in &attr.buckets {
-            let t = totals.entry(bucket.name.as_str()).or_default();
-            t.0 += bucket.count;
-            t.1 += bucket.sampled;
-            t.2 += bucket.nanos;
-        }
-    }
-    totals
 }
 
 fn slowest_root(forest: &SpanForest) -> Option<usize> {
@@ -169,26 +155,6 @@ fn render_text(
             fmt_micros(span.duration_nanos()),
         )?;
     }
-
-    let totals = bucket_totals(file);
-    if !totals.is_empty() {
-        writeln!(out, "\nengine host-time attribution (all requests):")?;
-        writeln!(
-            out,
-            "  {:<14} {:>10} {:>10} {:>12}",
-            "bucket", "count", "sampled", "est us"
-        )?;
-        for (name, (count, sampled, nanos)) in totals {
-            writeln!(
-                out,
-                "  {:<14} {:>10} {:>10} {:>12}",
-                name,
-                count,
-                sampled,
-                fmt_micros(nanos)
-            )?;
-        }
-    }
     Ok(())
 }
 
@@ -277,16 +243,6 @@ fn render_json(path: &str, file: &SpanFile, forest: &SpanForest, laws: &[String]
             .field_u64("total_nanos", walls.iter().sum());
         (tenant, o.finish())
     }));
-    let buckets = json_map(bucket_totals(file).into_iter().map(
-        |(name, (count, sampled, nanos))| {
-            let mut o = ObjectWriter::new();
-            o.field_u64("count", count)
-                .field_u64("sampled", sampled)
-                .field_u64("estimated_nanos", nanos);
-            (name, o.finish())
-        },
-    ));
-
     let mut w = ObjectWriter::new();
     w.field_str("file", path)
         .field_u64("spans", file.spans.len() as u64)
@@ -296,8 +252,7 @@ fn render_json(path: &str, file: &SpanFile, forest: &SpanForest, laws: &[String]
         .field_bool("laws_ok", laws.is_empty())
         .field_raw("laws", &json_strings(laws))
         .field_raw("stages", &stages)
-        .field_raw("tenants", &tenants)
-        .field_raw("host_split", &buckets);
+        .field_raw("tenants", &tenants);
     if let Some(root) = slowest_root(forest) {
         let span = &forest.spans[root];
         let (cp, cp_nanos) = forest.critical_path(root);
@@ -396,6 +351,8 @@ mod tests {
             beta.get("requests").and_then(dim_obs::JsonValue::as_u64),
             Some(1)
         );
+        // Dumps carry stage timings only.
+        assert!(v.get("host_split").is_none(), "{json}");
 
         let chrome = tmp_file("t60-chrome.json", "");
         run_cli(&[

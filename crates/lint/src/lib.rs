@@ -3,7 +3,7 @@
 //! Static analysis for the DIM reproduction, in two passes:
 //!
 //! 1. **Binary analyzer** — reconstructs the control-flow graph of an
-//!    assembled workload image ([`cfg`]), runs register liveness and
+//!    assembled workload image ([`cfg`](mod@cfg)), runs register liveness and
 //!    reaching-definitions over it ([`dataflow`]), and reports a
 //!    catalogue of structural errors, delay-slot portability warnings,
 //!    and performance notes ([`lints`]). It also enumerates the *static

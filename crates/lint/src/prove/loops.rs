@@ -63,7 +63,7 @@ pub fn find_self_loops(cfg: &Cfg) -> Vec<SelfLoop> {
 ///
 /// The walk steps backwards from the header while each block has
 /// exactly one reachable predecessor besides the header's own
-/// back-edge, up to [`MAX_ENTRY_CHAIN`] blocks, then executes the chain
+/// back-edge, up to `MAX_ENTRY_CHAIN` (8) blocks, then executes the chain
 /// forwards through [`ConcreteEnv`]. Two stops keep this sound:
 ///
 /// - The walk stops *before* any block that is its own predecessor —

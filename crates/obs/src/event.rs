@@ -328,20 +328,7 @@ pub enum ProbeEvent {
 impl ProbeEvent {
     /// Stable wire name of the event type.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            ProbeEvent::Retire { .. } => "retire",
-            ProbeEvent::TransBegin { .. } => "trans_begin",
-            ProbeEvent::TransCommit { .. } => "trans_commit",
-            ProbeEvent::RcacheHit { .. } => "rcache_hit",
-            ProbeEvent::RcacheMiss { .. } => "rcache_miss",
-            ProbeEvent::RcacheInsert { .. } => "rcache_insert",
-            ProbeEvent::RcacheFlush { .. } => "rcache_flush",
-            ProbeEvent::RcacheEvict { .. } => "rcache_evict",
-            ProbeEvent::SpecMispredict { .. } => "mispredict",
-            ProbeEvent::ArrayInvoke(_) => "array_invoke",
-            ProbeEvent::Fabric(_) => "fabric",
-            ProbeEvent::StreamTag { .. } => "stream_tag",
-        }
+        EVENT_KIND_NAMES[self.type_index()]
     }
 
     /// Dense index of the event's variant, in [`EVENT_KIND_NAMES`]

@@ -28,12 +28,22 @@
 //! body verbatim.
 //!
 //! The helper is defined here (the bottom of the crate graph, next to
-//! [`fnv1a64`](crate::fnv1a64)) and re-exported as `dim_core::frame`.
+//! [`fnv1a64`]) and re-exported as `dim_core::frame`.
+//!
+//! Files a reader may open while they are being replaced (sweep
+//! results and snapshots, `status.dimstat`, span and flight dumps,
+//! drained shards) are written through [`atomic_write`]: the bytes land
+//! in a temporary file in the destination directory and are renamed
+//! into place, so a reader sees either the complete old version or the
+//! complete new one, never a torn file.
 
 use crate::hash::fnv1a64;
 use crate::json::{parse, JsonValue, ObjectWriter};
 use std::fmt;
+use std::fs;
 use std::io::{self, Read, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identity of one framed format: its magic bytes and the newest
 /// version this build writes (and accepts).
@@ -340,9 +350,68 @@ pub fn parse_text_frame<'a>(
     Ok((header, body))
 }
 
+/// Writes `bytes` to `path` atomically (temp file in the same directory,
+/// then rename), creating parent directories as needed. The temp name
+/// carries the process id plus a per-process sequence, so concurrent
+/// writers never collide on it.
+///
+/// # Errors
+///
+/// Any underlying filesystem error; the temporary file is removed on
+/// failure when possible.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            fs::create_dir_all(parent)?;
+        }
+    }
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
+    let mut tmp_name = file_name.to_os_string();
+    tmp_name.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let result = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+    if result.is_err() {
+        fs::remove_file(&tmp).ok();
+    }
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("dim-obs-frame-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn atomic_write_writes_and_replaces() {
+        let dir = scratch("basic");
+        let path = dir.join("nested/result.json");
+        atomic_write(&path, b"one").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"one");
+        atomic_write(&path, b"two").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"two");
+        // No stray temp files left behind.
+        let leftovers: Vec<_> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(leftovers, vec![std::ffi::OsString::from("result.json")]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_rejects_a_directory_path() {
+        assert!(atomic_write(Path::new("/"), b"x").is_err());
+    }
 
     const SPEC: FrameSpec = FrameSpec {
         magic: b"DIMGV\0",

@@ -2,9 +2,8 @@
 //!
 //! Everything the other observability layers measure is *simulated*
 //! cycles. Spans measure the other axis: where real host time goes
-//! while a request or sweep cell moves through the pipeline —
-//! queue wait vs. warm start vs. execution, and inside the engine,
-//! fetch/decode vs. translation vs. rcache vs. array replay.
+//! while a request or sweep cell moves through its stages — queue
+//! wait vs. warm start vs. simulation vs. validation.
 //!
 //! The recording side is allocation-free after construction: a
 //! [`SpanSheet`] preallocates a fixed number of [span records](SpanId)
@@ -15,12 +14,17 @@
 //! [`FakeClock`](crate::clock::FakeClock) and get byte-stable dumps.
 //!
 //! Dumps are text frames ([`crate::frame`]) with magic [`SPAN_MAGIC`]:
-//! one JSON header line (span/attr counts, drop counter, body
-//! checksum) over a JSONL body of span lines and host-attribution
-//! lines. Span files live *outside* the determinism contract, next to
-//! `summary.json` and `status.dimstat`: two identical runs produce
-//! identical trees but different nanosecond values. A sweep cell's
-//! root span is the one record of its wall time.
+//! one JSON header line (span count, drop counter, body checksum) over
+//! a JSONL body of one line per span. Span files live *outside* the
+//! determinism contract, next to `summary.json` and `status.dimstat`:
+//! two identical runs produce identical trees but different nanosecond
+//! values. A sweep cell's root span is the one record of its wall time.
+//!
+//! [`HostSplit`] is the engine's sampled per-section host-time split
+//! (fetch/decode vs. translation vs. rcache vs. array replay). Sweep
+//! cells and served requests do not enable it and dumps do not carry
+//! it: it is the instrument of perfbench's traced mode and of the
+//! `bench_overhead` harness.
 //!
 //! The analysis side ([`SpanFile`] → [`SpanForest`]) rebuilds the
 //! causal trees, trims orphans, checks well-formedness laws (every
@@ -86,18 +90,9 @@ impl SpanRecord {
     }
 }
 
-/// One host-attribution record: the strided-sampling estimate of where
-/// a span's engine time went, attached to that span's id.
-#[derive(Debug, Clone)]
-struct AttrRecord {
-    span: u64,
-    buckets: [BucketAcc; HOST_BUCKET_COUNT],
-}
-
 #[derive(Debug)]
 struct SheetInner {
     spans: Vec<SpanRecord>,
-    attrs: Vec<AttrRecord>,
     dropped: u64,
 }
 
@@ -115,14 +110,13 @@ pub struct SpanSheet {
 }
 
 impl SpanSheet {
-    /// A sheet that can hold `capacity` spans (and as many attribution
-    /// records), reading time from `clock`.
+    /// A sheet that can hold `capacity` spans, reading time from
+    /// `clock`.
     pub fn new(clock: SharedClock, capacity: usize) -> SpanSheet {
         SpanSheet {
             clock,
             inner: Mutex::new(SheetInner {
                 spans: Vec::with_capacity(capacity),
-                attrs: Vec::with_capacity(capacity),
                 dropped: 0,
             }),
         }
@@ -139,12 +133,6 @@ impl SpanSheet {
     #[must_use]
     pub fn now_nanos(&self) -> u64 {
         self.clock.now_nanos()
-    }
-
-    /// The clock this sheet stamps spans with.
-    #[must_use]
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
     }
 
     /// Opens a root span carrying a tenant label and sequence number.
@@ -209,24 +197,6 @@ impl SpanSheet {
         }
     }
 
-    /// Attaches a host-time attribution snapshot to `span`. Ignored
-    /// for [`SpanId::NONE`]; counts a drop when the attr table is
-    /// full.
-    pub fn attr(&self, span: SpanId, split: &HostSplit) {
-        if !span.is_some() {
-            return;
-        }
-        let mut inner = self.lock();
-        if inner.attrs.len() == inner.attrs.capacity() {
-            inner.dropped += 1;
-            return;
-        }
-        inner.attrs.push(AttrRecord {
-            span: span.0,
-            buckets: split.acc.clone(),
-        });
-    }
-
     /// Number of spans recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -239,15 +209,14 @@ impl SpanSheet {
         self.len() == 0
     }
 
-    /// Spans and attribution records refused because the sheet was
-    /// full.
+    /// Spans refused because the sheet was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.lock().dropped
     }
 
     /// Renders the complete [`SPAN_MAGIC`] text frame: header line
-    /// plus one JSONL line per span and per attribution record.
+    /// plus one JSONL line per span.
     #[must_use]
     pub fn render(&self) -> String {
         let inner = self.lock();
@@ -264,25 +233,12 @@ impl SpanSheet {
             body.push_str(&line.finish());
             body.push('\n');
         }
-        for attr in &inner.attrs {
-            let mut line = ObjectWriter::new();
-            line.field_str("attr", "host_split");
-            line.field_u64("span", attr.span);
-            for (bucket, acc) in HostBucket::ALL.iter().zip(attr.buckets.iter()) {
-                line.field_u64(&format!("{}_count", bucket.name()), acc.count);
-                line.field_u64(&format!("{}_sampled", bucket.name()), acc.sampled);
-                line.field_u64(&format!("{}_nanos", bucket.name()), acc.estimated_nanos());
-            }
-            body.push_str(&line.finish());
-            body.push('\n');
-        }
         render_text_frame(
             "span_header",
             SPAN_MAGIC,
             SPAN_VERSION,
             &[
                 ("spans", inner.spans.len() as u64),
-                ("attrs", inner.attrs.len() as u64),
                 ("dropped", inner.dropped),
             ],
             &body,
@@ -337,24 +293,13 @@ pub enum HostBucket {
 }
 
 impl HostBucket {
-    /// All buckets, in dump order.
+    /// All buckets, in index order.
     pub const ALL: [HostBucket; HOST_BUCKET_COUNT] = [
         HostBucket::FetchDecode,
         HostBucket::Translate,
         HostBucket::Rcache,
         HostBucket::ArrayReplay,
     ];
-
-    /// Stable snake_case name used in dump fields and reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            HostBucket::FetchDecode => "fetch_decode",
-            HostBucket::Translate => "translate",
-            HostBucket::Rcache => "rcache",
-            HostBucket::ArrayReplay => "array_replay",
-        }
-    }
 
     fn index(self) -> usize {
         match self {
@@ -394,16 +339,16 @@ impl BucketAcc {
 }
 
 /// A strided-sampling accumulator of engine host time per
-/// [`HostBucket`].
+/// [`HostBucket`], enabled by `System::enable_host_split`.
 ///
 /// The engine's hot sections run in ~100 ns, so reading the clock on
 /// every occurrence (2 × 20–55 ns per section) would blow the ≤5% span
 /// overhead budget. Instead every occurrence pays one counter
-/// increment, and only the first [`PRIMING_SAMPLES`] plus every
-/// [`SAMPLE_STRIDE`]-th occurrence read a clock pair; the estimate
-/// scales the sampled time by `count / sampled`. Sections must not
-/// nest — `enter` overwrites any pending sample, and `exit` only
-/// credits a sample opened by the matching `enter`.
+/// increment, and only the first `PRIMING_SAMPLES` plus every
+/// `SAMPLE_STRIDE`-th occurrence read a clock pair; the estimate scales
+/// the sampled time by `count / sampled`. Sections must not nest —
+/// `enter` overwrites any pending sample, and `exit` only credits a
+/// sample opened by the matching `enter`.
 #[derive(Debug, Clone)]
 pub struct HostSplit {
     clock: SharedClock,
@@ -492,8 +437,8 @@ impl HostSplit {
 pub enum SpanError {
     /// The text frame failed (magic, version, checksum, header).
     Frame(TextFrameError),
-    /// A body line is not a valid span or attribution record, or the
-    /// header counts disagree with the body.
+    /// A body line is not a valid span record, or the header's span
+    /// count disagrees with the body.
     Malformed(String),
 }
 
@@ -571,36 +516,11 @@ impl ParsedSpan {
     }
 }
 
-/// One bucket of a parsed host-attribution record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostBucketEst {
-    /// Bucket name (see [`HostBucket::name`]).
-    pub name: String,
-    /// Occurrences of the section.
-    pub count: u64,
-    /// Occurrences that read the clock.
-    pub sampled: u64,
-    /// Estimated total nanoseconds.
-    pub nanos: u64,
-}
-
-/// A parsed host-attribution record: where one span's engine time
-/// went.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedAttr {
-    /// Id of the span the attribution belongs to.
-    pub span: u64,
-    /// Per-bucket estimates, in [`HostBucket::ALL`] order.
-    pub buckets: Vec<HostBucketEst>,
-}
-
 /// A parsed span dump: the flat records, before forest assembly.
 #[derive(Debug, Clone, Default)]
 pub struct SpanFile {
     /// Every span line, in id order.
     pub spans: Vec<ParsedSpan>,
-    /// Every host-attribution line.
-    pub attrs: Vec<ParsedAttr>,
     /// Drop counter from the header.
     pub dropped: u64,
 }
@@ -622,13 +542,11 @@ impl SpanFile {
     pub fn parse(text: &str) -> Result<SpanFile, SpanError> {
         let (header, body) = parse_text_frame(SPAN_MAGIC, SPAN_VERSION, text)?;
         let expected_spans = header.get("spans").and_then(JsonValue::as_u64);
-        let expected_attrs = header.get("attrs").and_then(JsonValue::as_u64);
         let dropped = header
             .get("dropped")
             .and_then(JsonValue::as_u64)
             .unwrap_or(0);
         let mut spans = Vec::new();
-        let mut attrs = Vec::new();
         for (index, line) in body.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -636,37 +554,23 @@ impl SpanFile {
             let number = index + 2; // 1-based, after the header line
             let value = parse_json(line)
                 .map_err(|e| SpanError::Malformed(format!("line {number}: {e}")))?;
-            if value.get("attr").is_some() {
-                let span = get_u64(&value, "span", number)?;
-                let mut buckets = Vec::with_capacity(HOST_BUCKET_COUNT);
-                for bucket in HostBucket::ALL {
-                    buckets.push(HostBucketEst {
-                        name: bucket.name().to_string(),
-                        count: get_u64(&value, &format!("{}_count", bucket.name()), number)?,
-                        sampled: get_u64(&value, &format!("{}_sampled", bucket.name()), number)?,
-                        nanos: get_u64(&value, &format!("{}_nanos", bucket.name()), number)?,
-                    });
-                }
-                attrs.push(ParsedAttr { span, buckets });
-            } else {
-                spans.push(ParsedSpan {
-                    id: get_u64(&value, "id", number)?,
-                    parent: get_u64(&value, "parent", number)?,
-                    stage: value
-                        .get("stage")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    tenant: value
-                        .get("tenant")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    seq: get_u64(&value, "seq", number)?,
-                    start_nanos: get_u64(&value, "start_nanos", number)?,
-                    end_nanos: get_u64(&value, "end_nanos", number)?,
-                });
-            }
+            spans.push(ParsedSpan {
+                id: get_u64(&value, "id", number)?,
+                parent: get_u64(&value, "parent", number)?,
+                stage: value
+                    .get("stage")
+                    .and_then(JsonValue::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+                tenant: value
+                    .get("tenant")
+                    .and_then(JsonValue::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+                seq: get_u64(&value, "seq", number)?,
+                start_nanos: get_u64(&value, "start_nanos", number)?,
+                end_nanos: get_u64(&value, "end_nanos", number)?,
+            });
         }
         if let Some(expected) = expected_spans {
             if expected != spans.len() as u64 {
@@ -676,25 +580,7 @@ impl SpanFile {
                 )));
             }
         }
-        if let Some(expected) = expected_attrs {
-            if expected != attrs.len() as u64 {
-                return Err(SpanError::Malformed(format!(
-                    "header declares {expected} attrs, body has {}",
-                    attrs.len()
-                )));
-            }
-        }
-        Ok(SpanFile {
-            spans,
-            attrs,
-            dropped,
-        })
-    }
-
-    /// Host-attribution record for `span`, if one was recorded.
-    #[must_use]
-    pub fn attr_for(&self, span: u64) -> Option<&ParsedAttr> {
-        self.attrs.iter().find(|a| a.span == span)
+        Ok(SpanFile { spans, dropped })
     }
 }
 
@@ -1018,7 +904,6 @@ mod tests {
                     end_nanos: 20,
                 },
             ],
-            attrs: Vec::new(),
             dropped: 0,
         };
         let forest = SpanForest::build(&file);
@@ -1059,7 +944,6 @@ mod tests {
                     end_nanos: 0, // never ended
                 },
             ],
-            attrs: Vec::new(),
             dropped: 0,
         };
         let forest = SpanForest::build(&file);
@@ -1094,27 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn host_split_attr_round_trips_through_dump() {
-        let (clock, sheet) = fake_sheet(4);
-        let root = sheet.begin_root("request", "t", 1);
-        let mut split = HostSplit::new(Arc::clone(sheet.clock()));
-        for _ in 0..3 {
-            split.enter(HostBucket::FetchDecode);
-            clock.advance(7);
-            split.exit(HostBucket::FetchDecode);
-        }
-        sheet.attr(root, &split);
-        sheet.end(root);
-        let file = SpanFile::parse(&sheet.render()).expect("parses");
-        assert_eq!(file.attrs.len(), 1);
-        let attr = file.attr_for(file.spans[0].id).expect("attr present");
-        assert_eq!(attr.buckets.len(), HOST_BUCKET_COUNT);
-        assert_eq!(attr.buckets[0].name, "fetch_decode");
-        assert_eq!(attr.buckets[0].count, 3);
-        assert_eq!(attr.buckets[0].nanos, 21);
-    }
-
-    #[test]
     fn parse_rejects_corruption() {
         let (_clock, sheet) = fake_sheet(2);
         let id = sheet.begin("only", SpanId::NONE);
@@ -1137,6 +1000,19 @@ mod tests {
         assert!(matches!(
             SpanFile::parse(&torn),
             Err(SpanError::Frame(TextFrameError::ChecksumMismatch))
+        ));
+
+        // The host-split `attr` lines older dumps carried are malformed.
+        let with_attr = render_text_frame(
+            "span_header",
+            SPAN_MAGIC,
+            SPAN_VERSION,
+            &[("spans", 0), ("attrs", 1), ("dropped", 0)],
+            "{\"attr\":\"host_split\",\"span\":1,\"rcache_count\":3}\n",
+        );
+        assert!(matches!(
+            SpanFile::parse(&with_attr),
+            Err(SpanError::Malformed(_))
         ));
     }
 

@@ -14,13 +14,12 @@
 //! determinism contract (wall-clock fields make them inherently
 //! nondeterministic).
 
-use crate::frame::{parse_text_frame, render_text_frame, TextFrameError};
+use crate::frame::{atomic_write, parse_text_frame, render_text_frame, TextFrameError};
 use crate::json::{parse, JsonValue, ObjectWriter};
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic string identifying a status file header.
 pub const STATUS_MAGIC: &str = "DIMSTAT";
@@ -254,32 +253,11 @@ impl StatusFile {
     }
 }
 
-/// Atomically replaces the status file at `path` (temp file in the same
-/// directory, then rename), so a concurrent [`read_status`] sees either
-/// the old or the new version — never a torn mix. The temp name carries
-/// the pid plus a process-wide counter so concurrent publishers never
-/// collide on it.
+/// Atomically replaces the status file at `path` through
+/// [`atomic_write`], so a concurrent [`read_status`] sees either the old
+/// or the new version — never a torn mix.
 pub fn write_status(path: &Path, status: &StatusFile) -> io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    let file_name = path.file_name().map_or_else(
-        || "status".to_string(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    let tmp = path.with_file_name(format!(
-        "{file_name}.tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = fs::write(&tmp, status.render()).and_then(|()| fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result
+    atomic_write(path, status.render().as_bytes())
 }
 
 /// Reads and verifies the status file at `path`.

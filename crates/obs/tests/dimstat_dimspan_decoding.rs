@@ -9,9 +9,7 @@
 use dim_obs::frame::render_text_frame;
 use dim_obs::span::SpanFile;
 use dim_obs::status::{StatusEntry, StatusFile, STATUS_MAGIC, STATUS_VERSION};
-use dim_obs::{
-    FakeClock, HostBucket, HostSplit, SharedClock, SpanForest, SpanSheet, SPAN_MAGIC, SPAN_VERSION,
-};
+use dim_obs::{FakeClock, SharedClock, SpanForest, SpanSheet, SPAN_MAGIC, SPAN_VERSION};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -52,8 +50,8 @@ fn sample_status() -> StatusFile {
     }
 }
 
-/// A sweep-shaped span dump: three cells with their stages and a host
-/// split on each `simulate`, under a fake clock.
+/// A sweep-shaped span dump: three cells with their stages, under a
+/// fake clock.
 fn sample_spans() -> String {
     let clock = FakeClock::shared(1_000);
     let sheet = SpanSheet::new(Arc::clone(&clock) as SharedClock, 64);
@@ -63,13 +61,6 @@ fn sample_spans() -> String {
             clock.advance(10 + seq);
             let child = sheet.begin(stage, root);
             clock.advance(100);
-            if stage == "simulate" {
-                let mut split = HostSplit::new(Arc::clone(&clock) as SharedClock);
-                split.enter(HostBucket::Rcache);
-                clock.advance(5);
-                split.exit(HostBucket::Rcache);
-                sheet.attr(child, &split);
-            }
             sheet.end(child);
         }
         sheet.end(root);
@@ -110,7 +101,6 @@ fn valid_files_round_trip() {
 
     let file = SpanFile::parse(&sample_spans()).expect("parses");
     assert_eq!(file.spans.len(), 15);
-    assert_eq!(file.attrs.len(), 3);
     let forest = SpanForest::build(&file);
     assert_eq!(forest.check_laws(), Vec::<String>::new());
     assert_eq!(forest.roots.len(), 3);
@@ -136,7 +126,7 @@ proptest! {
             "span_header",
             SPAN_MAGIC,
             SPAN_VERSION,
-            &[("spans", 1), ("attrs", 0), ("dropped", 0)],
+            &[("spans", 1), ("dropped", 0)],
             &text,
         ));
     }
@@ -169,7 +159,7 @@ proptest! {
             "span_header",
             SPAN_MAGIC,
             SPAN_VERSION,
-            &[("spans", 15), ("attrs", 3), ("dropped", 0)],
+            &[("spans", 15), ("dropped", 0)],
             &body,
         ));
     }

@@ -221,7 +221,7 @@ pub struct MetricDelta {
 pub struct WorkloadDiff {
     /// Workload name.
     pub name: String,
-    /// Every metric's delta, in [`METRICS`] order.
+    /// Every metric's delta, in baseline-schema order (simulated first).
     pub deltas: Vec<MetricDelta>,
     /// Attribution waterfall: `(category, base, cur)` cycles.
     pub waterfall: Vec<(&'static str, u64, u64)>,

@@ -3,7 +3,7 @@
 //!
 //! The real `proptest` crate cannot be vendored in this build environment
 //! (no registry access), so this shim provides the same surface —
-//! [`Strategy`], [`prelude`], `proptest!`, `prop_oneof!`, the
+//! [`Strategy`](strategy::Strategy), [`prelude`], `proptest!`, `prop_oneof!`, the
 //! `prop_assert*` macros, `prop::collection::vec`, `prop::sample::select`
 //! — backed by a deterministic PRNG. Failing cases are reported with
 //! their generated inputs; shrinking is not implemented (the failing
@@ -122,7 +122,7 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and combinators.
+/// The [`Strategy`](strategy::Strategy) trait and combinators.
 pub mod strategy {
     use crate::test_runner::TestRng;
     use std::fmt::Debug;
@@ -449,7 +449,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification accepted by [`vec`].
+    /// Length specification accepted by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -22,8 +22,8 @@
 //! with the daemon's state.
 //!
 //! Every request records a wall-clock span tree (accept → queue →
-//! schedule → execute, with sampled engine host-time attribution)
-//! through [`dim_obs::SpanSheet`]; the daemon dumps them to
+//! schedule → execute → simulate) through [`dim_obs::SpanSheet`]; the
+//! daemon dumps them to
 //! `<status-dir>/spans.dimspan` at drain for `dim spans` to turn into
 //! latency waterfalls. All host timing flows through an injectable
 //! [`dim_obs::Clock`], so latency behavior is testable with a fake

@@ -22,9 +22,9 @@
 use crate::client::submit;
 use crate::proto::{Command, Reply, Request};
 use crate::server::{serve, ServeOptions};
+use dim_obs::frame::atomic_write;
 use dim_obs::span::{percentile_nanos, read_span_file, SpanForest};
 use dim_obs::{parse_json, Clock as _, MonotonicClock, ObjectWriter, SPAN_FILE_NAME};
-use dim_sweep::atomic_write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

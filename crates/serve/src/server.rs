@@ -24,12 +24,12 @@ use crate::request::validate_request;
 use crate::shard::{shard_id, ShardManager};
 use dim_cgra::ShapeChoice;
 use dim_core::SystemConfig;
-use dim_obs::frame::{read_frame, write_frame};
+use dim_obs::frame::{atomic_write, read_frame, write_frame};
 use dim_obs::span::percentile_nanos;
 use dim_obs::status::{StatusEntry, STATUS_FILE_NAME};
 use dim_obs::{MonotonicClock, ObjectWriter, SharedClock, SpanId, SpanSheet, SPAN_FILE_NAME};
 use dim_sweep::{
-    atomic_write, execute_jobs, run_checked, run_plain, FinishedRun, RunSpec, StatusBoard,
+    execute_jobs, run_checked, run_plain, FinishedRun, RunSpec, StatusBoard,
     DEFAULT_FLIGHT_CAPACITY,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -48,9 +48,10 @@ use std::time::Duration;
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// How long the drain waits for final replies to reach their sockets.
 const REPLY_FLUSH_TIMEOUT: Duration = Duration::from_secs(3);
-/// Default span-sheet capacity (spans, not requests; a request tree is
-/// typically 6–7 spans).
-pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
+/// Span-sheet capacity (spans, not requests; a request tree is
+/// typically 6–7 spans). Spans dump to `out_dir/spans.dimspan` at
+/// drain.
+const SPAN_CAPACITY: usize = 16_384;
 /// Recent request latencies kept for the live p99 column.
 const LATENCY_WINDOW: usize = 1_024;
 
@@ -75,9 +76,6 @@ pub struct ServeOptions {
     /// Status publish cadence in simulated cycles; 0 keeps the default
     /// cadence.
     pub telemetry_interval: u64,
-    /// Wall-clock span capacity (0 disables span tracing). Spans dump
-    /// to `out_dir/spans.dimspan` at drain.
-    pub span_capacity: usize,
 }
 
 impl ServeOptions {
@@ -92,7 +90,6 @@ impl ServeOptions {
             out_dir: None,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             telemetry_interval: 0,
-            span_capacity: DEFAULT_SPAN_CAPACITY,
         }
     }
 }
@@ -156,7 +153,7 @@ struct Pending {
     request: Request,
     reply_tx: mpsc::Sender<Reply>,
     /// Root of this request's span tree (opened at enqueue, closed in
-    /// `finish_request`); `SpanId::NONE` when tracing is off.
+    /// `finish_request`); `SpanId::NONE` when the sheet is full.
     root_span: SpanId,
     /// The currently open stage child (`queue_wait`, then `schedule`).
     stage_span: SpanId,
@@ -196,8 +193,8 @@ struct ServerState {
     opts: ServeOptions,
     clock: SharedClock,
     /// Wall-clock span sheet shared by listener, dispatcher and
-    /// workers; `None` when `span_capacity` is 0.
-    spans: Option<SpanSheet>,
+    /// workers.
+    spans: SpanSheet,
     latencies: Mutex<LatencyRing>,
     queue: Mutex<VecDeque<Pending>>,
     queue_cv: Condvar,
@@ -207,39 +204,35 @@ struct ServerState {
     /// connection threads; the drain waits for zero so the last reply
     /// reaches its socket before the process exits.
     batches_in_flight: AtomicI64,
+    /// Per-tenant request counts: the one count of submitted,
+    /// completed, failed and refused requests, which every total sums.
     tenants: Mutex<BTreeMap<String, TenantStats>>,
     shards: ShardManager,
     board: StatusBoard,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    busy_rejected: AtomicU64,
 }
 
 impl ServerState {
-    fn span_begin_root(&self, stage: &'static str, tenant: &str, seq: u64) -> SpanId {
-        self.spans
-            .as_ref()
-            .map_or(SpanId::NONE, |s| s.begin_root(stage, tenant, seq))
+    /// Every tenant's counts summed.
+    fn totals(&self) -> TenantStats {
+        let tenants = self.tenants.lock().expect("tenant lock");
+        tenants
+            .values()
+            .fold(TenantStats::default(), |sum, t| TenantStats {
+                outstanding: sum.outstanding + t.outstanding,
+                submitted: sum.submitted + t.submitted,
+                completed: sum.completed + t.completed,
+                failed: sum.failed + t.failed,
+                busy: sum.busy + t.busy,
+            })
     }
 
-    fn span_begin(&self, stage: &'static str, parent: SpanId) -> SpanId {
-        self.spans
-            .as_ref()
-            .map_or(SpanId::NONE, |s| s.begin(stage, parent))
-    }
-
-    fn span_end(&self, id: SpanId) {
-        if let Some(sheet) = &self.spans {
-            sheet.end(id);
-        }
-    }
-
-    /// A drop guard for a fallible section; ends the span on every
-    /// exit path. `None` when tracing is off (dropping `None` is
-    /// free).
-    fn span_guard(&self, stage: &'static str, parent: SpanId) -> Option<dim_obs::SpanGuard<'_>> {
-        self.spans.as_ref().map(|s| s.guard(stage, parent))
+    /// Sets the board's aggregate request counts from the tenant map.
+    /// Called under the board's lock after every count change, so the
+    /// last update always reads the final counts.
+    fn aggregate(&self, entry: &mut StatusEntry) {
+        let totals = self.totals();
+        entry.total = totals.submitted;
+        entry.done = totals.completed + totals.failed;
     }
 
     fn status_json(&self) -> String {
@@ -279,16 +272,17 @@ impl ServerState {
             shards_json.push_str(&o.finish());
         }
         shards_json.push(']');
+        let totals = self.totals();
         let mut o = ObjectWriter::new();
         o.field_str("command", "status")
             .field_bool("draining", self.draining.load(Ordering::SeqCst))
             .field_u64("queue_depth", queue_depth)
             .field_u64("queue_capacity", self.opts.queue_capacity as u64)
             .field_u64("jobs", self.opts.jobs as u64)
-            .field_u64("submitted", self.submitted.load(Ordering::SeqCst))
-            .field_u64("completed", self.completed.load(Ordering::SeqCst))
-            .field_u64("failed", self.failed.load(Ordering::SeqCst))
-            .field_u64("busy_rejected", self.busy_rejected.load(Ordering::SeqCst))
+            .field_u64("submitted", totals.submitted)
+            .field_u64("completed", totals.completed)
+            .field_u64("failed", totals.failed)
+            .field_u64("busy_rejected", totals.busy)
             .field_raw("tenants", &tenants_json)
             .field_raw("shards", &shards_json);
         o.finish()
@@ -335,7 +329,6 @@ impl ServerState {
             });
         }
         if queue.len() >= self.opts.queue_capacity {
-            self.busy_rejected.fetch_add(1, Ordering::SeqCst);
             self.bump_tenant(&request.tenant, |t| t.busy += 1);
             return Some(Reply::Busy {
                 retry_after_ms: self.retry_hint(queue.len()),
@@ -348,7 +341,6 @@ impl ServerState {
             if t.outstanding >= self.opts.tenant_quota as u64 {
                 t.busy += 1;
                 drop(tenants);
-                self.busy_rejected.fetch_add(1, Ordering::SeqCst);
                 return Some(Reply::Busy {
                     retry_after_ms: self.retry_hint(queue.len()),
                     reason: format!(
@@ -361,11 +353,10 @@ impl ServerState {
             t.submitted += 1;
         }
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        self.submitted.fetch_add(1, Ordering::SeqCst);
         // The span tree starts the moment the request is accepted:
         // root "request" plus its first stage child "queue_wait".
-        let root_span = self.span_begin_root("request", &request.tenant, seq);
-        let stage_span = self.span_begin("queue_wait", root_span);
+        let root_span = self.spans.begin_root("request", &request.tenant, seq);
+        let stage_span = self.spans.begin("queue_wait", root_span);
         let enqueue_nanos = self.clock.now_nanos();
         queue.push_back(Pending {
             seq,
@@ -378,7 +369,7 @@ impl ServerState {
         let depth = queue.len() as u64;
         drop(queue);
         self.board.update(|entries| {
-            entries[0].total += 1;
+            self.aggregate(&mut entries[0]);
             entries[0].queue_depth = depth;
         });
         self.queue_cv.notify_all();
@@ -400,7 +391,7 @@ impl ServerState {
     fn finish_request(&self, pending: &Pending, reply: Reply) {
         // Close the tree first so bookkeeping below (board I/O) does
         // not inflate the recorded wall time.
-        self.span_end(pending.root_span);
+        self.spans.end(pending.root_span);
         let latency_micros = self.clock.now_nanos().saturating_sub(pending.enqueue_nanos) / 1_000;
         let p99 = {
             let mut ring = self.latencies.lock().expect("latency lock");
@@ -409,11 +400,6 @@ impl ServerState {
         };
         let depth = self.queue.lock().expect("queue lock").len() as u64;
         let ok = matches!(reply, Reply::Ok { .. });
-        if ok {
-            self.completed.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.failed.fetch_add(1, Ordering::SeqCst);
-        }
         self.bump_tenant(&pending.request.tenant, |t| {
             t.outstanding = t.outstanding.saturating_sub(1);
             if ok {
@@ -423,7 +409,7 @@ impl ServerState {
             }
         });
         self.board.update(|entries| {
-            entries[0].done += 1;
+            self.aggregate(&mut entries[0]);
             entries[0].latency_p99_micros = p99;
             entries[0].queue_depth = depth;
         });
@@ -452,7 +438,7 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
     } else {
         built.max_steps
     };
-    let spans = state.spans.as_ref().map(|sheet| (sheet, exec_span));
+    let spans = (&state.spans, exec_span);
 
     if request.command == Command::Run {
         let machine = match run_plain(&built, max_steps, spans) {
@@ -515,7 +501,7 @@ fn run_one(state: &ServerState, pending: &Pending, worker: usize, exec_span: Spa
     // Offer the warmed cache back to the shard. Self-produced snapshots
     // re-cross the trust boundary like everyone else's.
     let mut shard_json = None;
-    let admit_guard = state.span_guard("shard_admit", exec_span);
+    let admit_guard = state.spans.guard("shard_admit", exec_span);
     if request.shared_shard {
         let bytes = system.save_rcache();
         match state.shards.admit(&id, &config, &bytes) {
@@ -597,14 +583,14 @@ fn dispatcher(state: &Arc<ServerState>) {
             .map(|mut pending| {
                 // Queue wait ends when the wave drains; the request is
                 // now scheduled, waiting for a free worker.
-                state.span_end(pending.stage_span);
-                pending.stage_span = state.span_begin("schedule", pending.root_span);
+                state.spans.end(pending.stage_span);
+                pending.stage_span = state.spans.begin("schedule", pending.root_span);
                 let state = Arc::clone(state);
                 move |worker: usize| {
-                    state.span_end(pending.stage_span);
-                    let exec_span = state.span_begin("exec", pending.root_span);
+                    state.spans.end(pending.stage_span);
+                    let exec_span = state.spans.begin("exec", pending.root_span);
                     let reply = run_one(&state, &pending, worker, exec_span);
-                    state.span_end(exec_span);
+                    state.spans.end(exec_span);
                     state.finish_request(&pending, reply);
                     state.board.update(|entries| {
                         entries[worker + 1].state = "idle".into();
@@ -732,8 +718,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     let clock: SharedClock = MonotonicClock::shared();
     let state = Arc::new(ServerState {
         opts: opts.clone(),
-        spans: (opts.span_capacity > 0)
-            .then(|| SpanSheet::new(Arc::clone(&clock), opts.span_capacity)),
+        spans: SpanSheet::new(Arc::clone(&clock), SPAN_CAPACITY),
         clock: Arc::clone(&clock),
         latencies: Mutex::new(LatencyRing::default()),
         queue: Mutex::new(VecDeque::new()),
@@ -754,10 +739,6 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
             opts.jobs,
             clock,
         ),
-        submitted: AtomicU64::new(0),
-        completed: AtomicU64::new(0),
-        failed: AtomicU64::new(0),
-        busy_rejected: AtomicU64::new(0),
     });
     let mut summary = ServeSummary::default();
     import_shards(&state, &mut summary);
@@ -794,15 +775,16 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
 
     // Span dump: host-side output outside the determinism contract,
     // written once at drain like the final status.
-    if let (Some(dir), Some(sheet)) = (&opts.out_dir, &state.spans) {
-        atomic_write(&dir.join(SPAN_FILE_NAME), sheet.render().as_bytes())?;
+    if let Some(dir) = &opts.out_dir {
+        atomic_write(&dir.join(SPAN_FILE_NAME), state.spans.render().as_bytes())?;
     }
 
     summary.shards = export_shards(&state)?;
-    summary.submitted = state.submitted.load(Ordering::SeqCst);
-    summary.completed = state.completed.load(Ordering::SeqCst);
-    summary.failed = state.failed.load(Ordering::SeqCst);
-    summary.busy_rejected = state.busy_rejected.load(Ordering::SeqCst);
+    let totals = state.totals();
+    summary.submitted = totals.submitted;
+    summary.completed = totals.completed;
+    summary.failed = totals.failed;
+    summary.busy_rejected = totals.busy;
     state.board.finish(|entries| {
         entries[0].state = "done".into();
         for entry in entries.iter_mut().skip(1) {

@@ -317,7 +317,8 @@ fn invalid_requests_and_backpressure_reply_without_work() {
             }
         }
 
-        // Status reflects the rejections.
+        // Status reflects the rejections, and each of its totals is the
+        // sum of that count over its tenants.
         let status = Request {
             command: Command::Status,
             workload: String::new(),
@@ -325,12 +326,21 @@ fn invalid_requests_and_backpressure_reply_without_work() {
         };
         let replies = submit(socket, &[status]).expect("submit");
         let json = ok_json(&replies[0]);
-        assert!(
-            json.get("busy_rejected")
+        let count = |v: &dim_obs::JsonValue, key: &str| {
+            v.get(key)
                 .and_then(dim_obs::JsonValue::as_u64)
-                .unwrap()
-                >= 1
-        );
+                .unwrap_or_else(|| panic!("missing `{key}`"))
+        };
+        assert!(count(&json, "busy_rejected") >= 1);
+        let tenants = json
+            .get("tenants")
+            .and_then(dim_obs::JsonValue::as_array)
+            .expect("tenants array");
+        assert!(!tenants.is_empty());
+        for key in ["submitted", "completed", "failed", "busy_rejected"] {
+            let sum: u64 = tenants.iter().map(|t| count(t, key)).sum();
+            assert_eq!(count(&json, key), sum, "`{key}` total");
+        }
     });
     // Invalid requests were refused at enqueue, so they never count as
     // submitted or failed; only the quota overflow shows up as Busy.
@@ -399,24 +409,15 @@ fn every_request_yields_one_complete_span_tree() {
             "stages {stage_sum} ns leave an implausible gap inside {wall} ns"
         );
 
-        // Accel requests carry engine host-time attribution on the
-        // simulate span, split across all four buckets.
+        // Every request, accel and run alike, simulates under `exec`.
         let exec = stage_of("exec").unwrap();
-        if let Some(&simulate) = forest.children[exec]
-            .iter()
-            .find(|&&c| forest.spans[c].stage == "simulate")
-        {
-            if let Some(attr) = file.attr_for(forest.spans[simulate].id) {
-                assert_eq!(attr.buckets.len(), 4, "{attr:?}");
-                assert!(attr.buckets.iter().all(|b| b.sampled > 0), "{attr:?}");
-            }
-        }
+        assert!(
+            forest.children[exec]
+                .iter()
+                .any(|&c| forest.spans[c].stage == "simulate"),
+            "no `simulate` under `exec`"
+        );
     }
-    // At least one request (the accel ones) must carry attribution.
-    assert!(
-        !file.attrs.is_empty(),
-        "no host-split attribution recorded at all"
-    );
 }
 
 #[test]

@@ -10,12 +10,12 @@
 //! its root span), the live `status.dimstat` board and the `flight/`
 //! failure dumps — never `cells/`, `heat/` or `report.txt`.
 
-use crate::fsio::atomic_write;
 use crate::journal::{cell_is_done, Journal};
 use crate::pool::{execute_jobs, PoolStats};
 use crate::run::{run_checked, FinishedRun, RunSpec, StatusBoard};
 use crate::spec::{policy_key, CellSpec, SweepSpec};
 use dim_core::fnv1a64;
+use dim_obs::frame::atomic_write;
 use dim_obs::status::{StatusEntry, STATUS_FILE_NAME};
 use dim_obs::{MonotonicClock, ObjectWriter, SharedClock, SpanId, SpanSheet, SPAN_FILE_NAME};
 use dim_workloads::{run_baseline, BuiltBenchmark};
@@ -190,7 +190,7 @@ fn run_cell(
         status_interval: ctx.opts.telemetry_interval,
         clock: ctx.clock,
         board: (ctx.board, worker),
-        spans: Some((ctx.spans, root)),
+        spans: (ctx.spans, root),
     })
     .map_err(|failure| failure.dump_to(Some(&cell_flight_path(out_dir, &cell.id))))?;
 

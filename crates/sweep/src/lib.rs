@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod fsio;
 mod journal;
 mod panichook;
 mod pool;
@@ -48,7 +47,6 @@ mod run;
 mod spec;
 
 pub use engine::{run_sweep, SweepError, SweepOptions, SweepOutcome, DEFAULT_FLIGHT_CAPACITY};
-pub use fsio::atomic_write;
 pub use journal::Journal;
 pub use pool::{execute_jobs, PoolStats};
 pub use run::{

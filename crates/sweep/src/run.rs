@@ -14,19 +14,21 @@
 //! a warm snapshot comes from, and where results and flight dumps go.
 //!
 //! Every run records the same stages under its host's parent span:
-//! `warm_start`, `simulate` (carrying the engine's sampled host-time
-//! split, even when a later check fails) and `validate`.
+//! `warm_start`, `simulate` (ended even when a later check fails) and
+//! `validate`. Runs do not enable the engine's sampled host-time split
+//! (`HostSplit`): its clock reads would cost every cell and request, and
+//! perfbench's traced mode is where it is read.
 
-use crate::fsio::atomic_write;
 use crate::panichook::capture_panics;
 use dim_core::{System, SystemConfig};
 use dim_explain::Explanation;
 use dim_mips_sim::{HaltReason, Machine, SimError};
+use dim_obs::frame::atomic_write;
 use dim_obs::status::{write_status, StatusEntry, StatusFile};
 use dim_obs::{FlightGuard, JsonlSink, Probe, SharedClock, SpanId, SpanSheet, Watchdog};
 use dim_workloads::{validate, BuiltBenchmark};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Default live-status publish cadence (simulated cycles).
 pub const DEFAULT_STATUS_CYCLES: u64 = 250_000;
@@ -159,13 +161,12 @@ pub struct RunSpec<'a> {
     /// Status publish cadence in simulated cycles; 0 keeps
     /// [`DEFAULT_STATUS_CYCLES`].
     pub status_interval: u64,
-    /// Host clock of the status entry and the engine's host-time split.
+    /// Host clock of the status entry.
     pub clock: &'a SharedClock,
     /// The board this run publishes to, and its worker index there.
     pub board: (&'a StatusBoard, usize),
-    /// The span sheet and the parent of this run's stage spans; `None`
-    /// records neither spans nor the host-time split.
-    pub spans: Option<(&'a SpanSheet, SpanId)>,
+    /// The span sheet and the parent of this run's stage spans.
+    pub spans: (&'a SpanSheet, SpanId),
 }
 
 /// A run that halted, passed the watchdog and the counter laws, and
@@ -392,13 +393,10 @@ pub fn run_checked(spec: &RunSpec<'_>) -> Result<FinishedRun, RunFailure> {
         reason,
         flight: None,
     };
-    let stage = |name| spec.spans.map(|(sheet, parent)| sheet.guard(name, parent));
+    let (sheet, parent) = spec.spans;
     let mut system = System::new(Machine::load(&spec.built.program), spec.config);
-    if spec.spans.is_some() {
-        system.enable_host_split(Arc::clone(spec.clock));
-    }
     {
-        let _warm_start = stage("warm_start");
+        let _warm_start = sheet.guard("warm_start", parent);
         if let Some(bytes) = spec.warm {
             system
                 .load_rcache(bytes)
@@ -437,9 +435,7 @@ pub fn run_checked(spec: &RunSpec<'_>) -> Result<FinishedRun, RunFailure> {
         n => n,
     };
 
-    let simulate = spec.spans.map_or(SpanId::NONE, |(sheet, parent)| {
-        sheet.begin("simulate", parent)
-    });
+    let simulate = sheet.begin("simulate", parent);
     let halt = capture_panics(|| {
         let mut probe = seam((sink.as_mut(), watchdog.as_mut()));
         let halt = run_chunked(&mut system, spec.max_steps, interval, &mut probe, publish);
@@ -447,12 +443,7 @@ pub fn run_checked(spec: &RunSpec<'_>) -> Result<FinishedRun, RunFailure> {
         halt
     });
     publish(&system);
-    if let Some((sheet, _)) = spec.spans {
-        if let Some(split) = system.host_split() {
-            sheet.attr(simulate, split);
-        }
-        sheet.end(simulate);
-    }
+    sheet.end(simulate);
 
     let checked = check_halt(halt, spec.max_steps)
         .and_then(|()| match watchdog.as_ref().and_then(Watchdog::violation) {
@@ -461,7 +452,7 @@ pub fn run_checked(spec: &RunSpec<'_>) -> Result<FinishedRun, RunFailure> {
         })
         .and_then(|()| counter_laws(&system))
         .and_then(|()| {
-            let _validate = stage("validate");
+            let _validate = sheet.guard("validate", parent);
             validate(system.machine(), spec.built).map_err(|e| format!("validation failed: {e}"))
         });
     if let Err(reason) = checked {
@@ -492,15 +483,14 @@ pub fn run_checked(spec: &RunSpec<'_>) -> Result<FinishedRun, RunFailure> {
 pub fn run_plain(
     built: &BuiltBenchmark,
     max_steps: u64,
-    spans: Option<(&SpanSheet, SpanId)>,
+    (sheet, parent): (&SpanSheet, SpanId),
 ) -> Result<Machine, String> {
-    let stage = |name| spans.map(|(sheet, parent)| sheet.guard(name, parent));
     let mut machine = Machine::load(&built.program);
     {
-        let _simulate = stage("simulate");
+        let _simulate = sheet.guard("simulate", parent);
         check_halt(capture_panics(|| machine.run(max_steps)), max_steps)?;
     }
-    let _validate = stage("validate");
+    let _validate = sheet.guard("validate", parent);
     validate(&machine, built).map_err(|e| format!("validation failed: {e}"))?;
     Ok(machine)
 }
@@ -513,6 +503,7 @@ mod tests {
     use dim_obs::{FakeClock, MonotonicClock, NullProbe, ProbeEvent};
     use dim_workloads::Scale;
     use std::cell::Cell;
+    use std::sync::Arc;
 
     /// A fault applied to the event stream of both executions of a run.
     #[derive(Debug, Clone, Copy)]
@@ -624,7 +615,7 @@ mod tests {
             status_interval: 0,
             clock: &clock,
             board: (&board, 0),
-            spans: Some((&sheet, root)),
+            spans: (&sheet, root),
         })
         .expect_err("500 instructions cannot finish crc32");
         assert_eq!(
@@ -635,7 +626,7 @@ mod tests {
         let trace = dim_obs::replay::read_trace(&window).expect("the flight window replays");
         assert!(!trace.records.is_empty());
         // The stages ended even though the run failed: `validate` never
-        // opened, and `simulate` carries the host-time split.
+        // opened.
         sheet.end(root);
         let file = dim_obs::SpanFile::parse(&sheet.render()).expect("span dump parses");
         let forest = dim_obs::SpanForest::build(&file);
@@ -645,14 +636,13 @@ mod tests {
             .map(|&c| forest.spans[c].stage.as_str())
             .collect();
         assert_eq!(stages, ["warm_start", "simulate"]);
-        let simulate = forest.children[forest.roots[0]][1];
-        assert!(file.attr_for(forest.spans[simulate].id).is_some());
     }
 
     #[test]
     fn a_reexecuted_flight_window_equals_a_guard_alongside_the_first_run() {
         let clock = MonotonicClock::shared();
         let board = StatusBoard::new(None, StatusEntry::default(), 1, Arc::clone(&clock));
+        let sheet = SpanSheet::new(Arc::clone(&clock), 64);
         for name in ["crc32", "quicksort"] {
             let built = build(name);
             let mut wrong = built.clone();
@@ -710,7 +700,7 @@ mod tests {
                     status_interval: chunk,
                     clock: &clock,
                     board: (&board, 0),
-                    spans: None,
+                    spans: (&sheet, SpanId::NONE),
                 };
                 FAULT.set(fault);
                 let failure = run_checked(&spec).expect_err(&label);
@@ -740,6 +730,7 @@ mod tests {
         let built = build("crc32");
         let clock = MonotonicClock::shared();
         let board = StatusBoard::new(None, StatusEntry::default(), 1, Arc::clone(&clock));
+        let sheet = SpanSheet::new(Arc::clone(&clock), 4);
         let failure = run_checked(&RunSpec {
             label: "crc32-bare",
             built: &built,
@@ -751,7 +742,7 @@ mod tests {
             status_interval: 0,
             clock: &clock,
             board: (&board, 0),
-            spans: None,
+            spans: (&sheet, SpanId::NONE),
         })
         .expect_err("500 instructions cannot finish crc32");
         assert_eq!(failure.reason, "did not halt within 500 instructions");
@@ -765,6 +756,7 @@ mod tests {
         let built = build("crc32");
         let clock = MonotonicClock::shared();
         let board = StatusBoard::new(None, StatusEntry::default(), 1, Arc::clone(&clock));
+        let sheet = SpanSheet::new(Arc::clone(&clock), 4);
         let run = run_checked(&RunSpec {
             label: "crc32-0-slots",
             built: &built,
@@ -776,12 +768,58 @@ mod tests {
             status_interval: 0,
             clock: &clock,
             board: (&board, 0),
-            spans: None,
+            spans: (&sheet, SpanId::NONE),
         })
         .unwrap_or_else(|f| panic!("{}", f.reason));
         assert_eq!(run.system.stats().configs_built, 0);
         assert_eq!(run.system.cache().insertions(), 0);
         assert_eq!(run.system.stats().array_invocations, 0);
+    }
+
+    /// Neither a sweep cell nor a served request runs the engine's
+    /// sampled host-time split; both still record their stages.
+    #[test]
+    fn checked_runs_leave_the_host_split_off() {
+        let built = build("crc32");
+        let clock = MonotonicClock::shared();
+        let board = StatusBoard::new(None, StatusEntry::default(), 1, Arc::clone(&clock));
+        let sheet = SpanSheet::new(Arc::clone(&clock), 16);
+        let spec = |label, warm, explain, parent| RunSpec {
+            label,
+            built: &built,
+            config: SystemConfig::new(ArrayShape::config2(), 64, true),
+            max_steps: built.max_steps,
+            warm,
+            flight_capacity: crate::DEFAULT_FLIGHT_CAPACITY,
+            explain,
+            status_interval: 0,
+            clock: &clock,
+            board: (&board, 0),
+            spans: (&sheet, parent),
+        };
+        // A sweep cell: cold, under its `cell` root.
+        let cell = sheet.begin_root("cell", "crc32", 0);
+        let mut cold = run_checked(&spec("cell", None, false, cell))
+            .unwrap_or_else(|f| panic!("{}", f.reason));
+        sheet.end(cell);
+        // A served request: warm from the cell's cache, explained, under
+        // its `exec` span.
+        let snapshot = cold.system.save_rcache();
+        let request = sheet.begin_root("request", "tenant", 1);
+        let exec = sheet.begin("exec", request);
+        let served = run_checked(&spec("request", Some(&snapshot), true, exec))
+            .unwrap_or_else(|f| panic!("{}", f.reason));
+        sheet.end(exec);
+        sheet.end(request);
+        assert!(served.explanation.is_some());
+        for run in [&cold, &served] {
+            assert!(run.system.host_split().is_none());
+        }
+        let file = dim_obs::SpanFile::parse(&sheet.render()).expect("span dump parses");
+        let forest = dim_obs::SpanForest::build(&file);
+        assert_eq!(forest.check_laws(), Vec::<String>::new());
+        let simulated = file.spans.iter().filter(|s| s.stage == "simulate");
+        assert_eq!(simulated.count(), 2);
     }
 
     /// Everything a run leaves behind that a budget split could move.

@@ -84,9 +84,9 @@ fn parallel_results_byte_identical_to_serial() {
     }
 
     // Both runs dump a wall-clock span file: one well-formed root per
-    // cell with a simulate child carrying host-time attribution. The
-    // timings differ run to run — spans sit outside the determinism
-    // contract — but the tree shape is fixed.
+    // cell with a simulate child. The timings differ run to run — spans
+    // sit outside the determinism contract — but the tree shape is
+    // fixed.
     for dir in [&serial_dir, &parallel_dir] {
         let file = dim_obs::span::read_span_file(&dir.join(dim_obs::SPAN_FILE_NAME)).unwrap();
         let forest = dim_obs::SpanForest::build(&file);
@@ -95,15 +95,12 @@ fn parallel_results_byte_identical_to_serial() {
         assert_eq!(forest.check_laws(), Vec::<String>::new());
         for &root in &forest.roots {
             assert_eq!(forest.spans[root].stage, "cell");
-            let simulate = forest.children[root]
-                .iter()
-                .copied()
-                .find(|&c| forest.spans[c].stage == "simulate")
-                .expect("every cell has a simulate span");
-            let attr = file
-                .attr_for(forest.spans[simulate].id)
-                .expect("simulate span carries host-time attribution");
-            assert!(attr.buckets.iter().any(|b| b.count > 0));
+            assert!(
+                forest.children[root]
+                    .iter()
+                    .any(|&c| forest.spans[c].stage == "simulate"),
+                "every cell has a simulate span"
+            );
         }
     }
 
