@@ -7,12 +7,16 @@
 //! [`HostSplit`](dim_obs::HostSplit) attribution, a [`RecordingProbe`] and a
 //! [`CycleProfiler`] — and keeps each row's minimum wall time over
 //! [`DEFAULT_REPS`] repetitions. Rows are interleaved within every
-//! repetition, so a slow phase of the host lands on all of them alike.
+//! repetition, so a slow phase of the host lands on all of them alike,
+//! and each repetition starts one row later than the one before, so no
+//! row always runs first.
 //!
 //! Three rows are gated at 5% aggregate overhead (exit 1 beyond): the
-//! flight recorder and the heat observer against `NullProbe`, and
-//! spans + `HostSplit` against the uninstrumented run. The table and
-//! the gates land in `BENCH_overhead.json` so CI archives the trend.
+//! flight recorder and the heat observer against `NullProbe`, and the
+//! spans a sweep cell or served request records against the
+//! uninstrumented run. Production runs do not enable `HostSplit`, so
+//! its row is priced but not gated. The table and the gates land in
+//! `BENCH_overhead.json` so CI archives the trend.
 //!
 //! Usage: `bench_overhead [--out <dir>] [--reps N]`
 
@@ -101,7 +105,7 @@ const GATES: [Gate; 3] = [
     },
     Gate {
         name: "span",
-        probe: Row::SpansHostSplit,
+        probe: Row::Spans,
         baseline: Row::Uninstrumented,
     },
 ];
@@ -242,10 +246,11 @@ fn main() {
     // nanos[row][workload]: the minimum over repetitions.
     let mut nanos = [[u64::MAX; WORKLOADS.len()]; Row::ALL.len()];
     let mut observed = [[0u64; WORKLOADS.len()]; Row::ALL.len()];
-    for _ in 0..reps.max(1) {
+    for rep in 0..reps.max(1) as usize {
         for (w, b) in built.iter().enumerate() {
-            for (r, &row) in Row::ALL.iter().enumerate() {
-                let (ns, seen) = run_once(row, b, &mut spans);
+            for offset in 0..Row::ALL.len() {
+                let r = (rep + offset) % Row::ALL.len();
+                let (ns, seen) = run_once(Row::ALL[r], b, &mut spans);
                 nanos[r][w] = nanos[r][w].min(ns);
                 observed[r][w] = seen;
             }

@@ -187,8 +187,8 @@ impl RowUsage {
 ///
 /// Built incrementally by the DIM translator (`dim-core`); this type owns
 /// the structural side — placement against an [`ArrayShape`], speculation
-/// segments, live-in/write-back sets — and the timing queries derived
-/// from them.
+/// segments, the live-in/write-back sets placement derives — and the
+/// timing queries derived from them.
 ///
 /// Live-ins and write-backs are fixed sets over the 34
 /// [`DataLoc::dense_index`] slots (32 GPRs, HI, LO). Both iterate in
@@ -258,6 +258,17 @@ impl Configuration {
     /// Places `inst` in the first row at or after `min_row` with a free
     /// unit of its class, returning `(row, col)`.
     ///
+    /// A placed op also extends the configuration's interface, as the
+    /// translator's reads and writes tables do (paper §4.2–4.3). A
+    /// source that no earlier op writes is a live-in, fetched from the
+    /// register file during reconfiguration; reads are checked before
+    /// the op's own writes. Each location is written back once — "if
+    /// there are two writes to the same register, just the last one will
+    /// be performed" — but the write-back becomes *pending* at the
+    /// location's earliest depth: if a deeper segment squashes, the
+    /// shallower value must still retire. A failed placement derives
+    /// nothing.
+    ///
     /// # Errors
     ///
     /// [`PlaceError::Unsupported`] when the instruction cannot run on the
@@ -302,27 +313,19 @@ impl Configuration {
                         self.stores += 1;
                     }
                 }
+                for src in inst.reads().iter() {
+                    if self.writebacks[src.dense_index()].is_none() {
+                        self.live_ins |= 1u64 << src.dense_index();
+                    }
+                }
+                for dst in inst.writes().iter() {
+                    let pending = &mut self.writebacks[dst.dense_index()];
+                    *pending = Some(pending.map_or(depth, |d| d.min(depth)));
+                }
                 return Ok((row as u32, col));
             }
             row += 1;
         }
-    }
-
-    /// Records that `loc` must be fetched from the register file during
-    /// reconfiguration (a live-in of the configuration).
-    pub fn note_live_in(&mut self, loc: DataLoc) {
-        self.live_ins |= 1u64 << loc.dense_index();
-    }
-
-    /// Records that `loc` is written back by the configuration at the
-    /// given speculation depth. Only one write-back per location is ever
-    /// performed — "if there are two writes to the same register, just
-    /// the last one will be performed" (paper §4.3) — but the write-back
-    /// becomes *pending* at the location's earliest write: if a deeper
-    /// segment squashes, the shallower value must still retire.
-    pub fn note_writeback(&mut self, loc: DataLoc, depth: u8) {
-        let pending = &mut self.writebacks[loc.dense_index()];
-        *pending = Some(pending.map_or(depth, |d| d.min(depth)));
     }
 
     /// Closes the current segment (ops pushed since the previous segment
@@ -346,10 +349,10 @@ impl Configuration {
 
     /// Mutable access to the placed operations, for checkers and test
     /// harnesses that perturb placements (fault injection against the
-    /// verifier). The length is fixed; derived row-occupancy caches are
-    /// *not* updated, so after mutating ops only introspection and
-    /// [`crate::verify::verify_config`] — which re-derives everything
-    /// from the ops — give trustworthy answers.
+    /// verifier). The length is fixed; the row occupancy and interface
+    /// placement derived are *not* updated, so after mutating ops only
+    /// introspection and [`crate::verify::verify_config`] — which
+    /// re-derives everything from the ops — give trustworthy answers.
     pub fn ops_mut(&mut self) -> &mut [PlacedOp] {
         &mut self.ops
     }
@@ -527,89 +530,26 @@ impl Configuration {
     pub fn total_cycles(&self, timing: &ArrayTiming, upto_depth: u8) -> u64 {
         self.invocation_cycles(timing, upto_depth).total()
     }
+}
 
-    /// Checks the structural invariants the executors rely on, returning
-    /// the first violation as text. Used by tests and debug assertions;
-    /// a configuration built through [`place`](Configuration::place) /
-    /// [`finish_segment`](Configuration::finish_segment) should never
-    /// fail this.
-    pub fn validate(&self) -> Result<(), String> {
-        // Segments partition ops contiguously with non-decreasing depth.
-        let mut covered = 0usize;
-        let mut last_depth = 0u8;
-        for (k, seg) in self.segments.iter().enumerate() {
-            if seg.start != covered {
-                return Err(format!(
-                    "segment {k} starts at {} instead of {covered}",
-                    seg.start
-                ));
-            }
-            covered += seg.len;
-            if k > 0 && seg.depth < last_depth {
-                return Err(format!("segment {k} depth decreases"));
-            }
-            last_depth = seg.depth;
-            // A segment's branch, if any, is its last op.
-            if let Some(branch) = seg.branch {
-                let last = seg.len.checked_sub(1).map(|i| seg.start + i);
-                match last.and_then(|i| self.ops.get(i)) {
-                    Some(op) if op.pc == branch.pc && op.inst.is_branch() => {}
-                    _ => return Err(format!("segment {k}: branch is not the last op")),
-                }
-            }
-            // All ops in the segment carry the segment's depth.
-            for op in self.segment_ops(seg) {
-                if op.depth != seg.depth {
-                    return Err(format!(
-                        "op at {:#x} has depth {} inside segment of depth {}",
-                        op.pc, op.depth, seg.depth
-                    ));
-                }
-            }
-        }
-        if covered != self.ops.len() {
-            return Err(format!(
-                "segments cover {covered} ops of {}",
-                self.ops.len()
-            ));
-        }
-        // Rows within shape, RAW order inside the placement.
-        let mut producer_row: [Option<u32>; DataLoc::COUNT] = [None; DataLoc::COUNT];
-        let mut last_mem_row: Option<u32> = None;
-        for op in &self.ops {
-            if !self.shape.is_infinite() && op.row as usize >= self.shape.rows {
-                return Err(format!("op at {:#x} beyond shape rows", op.pc));
-            }
-            for src in op.inst.reads().iter() {
-                if let Some(p) = producer_row[src.dense_index()] {
-                    if p >= op.row {
-                        return Err(format!(
-                            "RAW violated: op at {:#x} row {} reads {} produced in row {p}",
-                            op.pc, op.row, src
-                        ));
-                    }
-                }
-            }
-            if op.inst.is_mem() {
-                if let Some(m) = last_mem_row {
-                    if op.row < m {
-                        return Err(format!("memory order violated at {:#x}", op.pc));
-                    }
-                }
-                last_mem_row = Some(last_mem_row.map_or(op.row, |m| m.max(op.row)));
-            }
-            for dst in op.inst.writes().iter() {
-                producer_row[dst.dense_index()] = Some(op.row);
-            }
-        }
-        Ok(())
+#[cfg(test)]
+impl Configuration {
+    /// Adds `loc` to the live-ins whatever the ops read: tests build
+    /// interfaces that placement does not derive.
+    pub(crate) fn force_live_in(&mut self, loc: DataLoc) {
+        self.live_ins |= 1u64 << loc.dense_index();
+    }
+
+    /// Sets `loc`'s pending write-back depth whatever the ops write.
+    pub(crate) fn force_writeback(&mut self, loc: DataLoc, depth: u8) {
+        self.writebacks[loc.dense_index()] = Some(depth);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dim_mips::{AluOp, MemWidth, MulDivOp, Reg};
+    use dim_mips::{AluImmOp, AluOp, MemWidth, MulDivOp, Reg};
 
     fn alu(rd: Reg, rs: Reg, rt: Reg) -> Instruction {
         Instruction::Alu {
@@ -730,7 +670,7 @@ mod tests {
     fn reconfig_stall_hidden_until_ports_saturate() {
         let t = ArrayTiming::default();
         let mut c = Configuration::new(0, ArrayShape::config1());
-        for r in [
+        let sources = [
             Reg::A0,
             Reg::A1,
             Reg::A2,
@@ -739,12 +679,6 @@ mod tests {
             Reg::T1,
             Reg::T2,
             Reg::T3,
-        ] {
-            c.note_live_in(DataLoc::Gpr(r));
-        }
-        // 8 live-ins / 4 ports = 2 cycles + 1 config read = 3 == hidden.
-        assert_eq!(c.reconfig_stall_cycles(&t), 0);
-        for r in [
             Reg::S0,
             Reg::S1,
             Reg::S2,
@@ -753,25 +687,70 @@ mod tests {
             Reg::S5,
             Reg::S6,
             Reg::S7,
-        ] {
-            c.note_live_in(DataLoc::Gpr(r));
+        ];
+        // Each op reads two registers no op writes: two live-ins.
+        for (k, pair) in sources.chunks(2).enumerate() {
+            c.place(4 * k as u32, alu(Reg::V0, pair[0], pair[1]), 0, 0)
+                .unwrap();
+            if k == 3 {
+                // 8 live-ins / 4 ports = 2 cycles + 1 config read = 3 == hidden.
+                assert_eq!(c.reconfig_stall_cycles(&t), 0);
+            }
         }
         // 16/4 + 1 = 5 -> stall 2.
+        assert_eq!(c.live_in_count(), 16);
         assert_eq!(c.reconfig_stall_cycles(&t), 2);
     }
 
     #[test]
-    fn writeback_pending_at_earliest_depth() {
+    fn place_derives_live_ins_and_pending_writebacks() {
+        let gpr = DataLoc::Gpr;
         let mut c = Configuration::new(0, ArrayShape::config1());
-        c.note_writeback(DataLoc::Gpr(Reg::T0), 0);
-        c.note_writeback(DataLoc::Gpr(Reg::T0), 1);
-        c.note_writeback(DataLoc::Gpr(Reg::T1), 1);
-        assert_eq!(c.writeback_count(), 2);
-        let depths: Vec<_> = c.writebacks().collect();
-        // T0 was first written at depth 0, so even a depth-1 squash must
-        // still retire its depth-0 value.
-        assert!(depths.contains(&(DataLoc::Gpr(Reg::T0), 0)));
-        assert!(depths.contains(&(DataLoc::Gpr(Reg::T1), 1)));
+        // A first op reading what it writes: its read comes first.
+        let bump = Instruction::AluImm {
+            op: AluImmOp::Addiu,
+            rt: Reg::T0,
+            rs: Reg::T0,
+            imm: 1,
+        };
+        c.place(0, bump, 0, 0).unwrap();
+        assert_eq!(c.live_ins().collect::<Vec<_>>(), [gpr(Reg::T0)]);
+        assert_eq!(c.writebacks().collect::<Vec<_>>(), [(gpr(Reg::T0), 0)]);
+        // T0 is produced now: of `t1 = t0 + s0` only S0 is a live-in.
+        c.place(4, alu(Reg::T1, Reg::T0, Reg::S0), 0, 1).unwrap();
+        // A depth-1 write leaves T0 pending at depth 0: a depth-1
+        // squash must still retire the depth-0 value.
+        c.place(8, alu(Reg::T0, Reg::T1, Reg::T1), 1, 2).unwrap();
+        // `mult` writes HI and LO, so `mflo` reads no live-in.
+        let mult = Instruction::MulDiv {
+            op: MulDivOp::Mult,
+            rs: Reg::T1,
+            rt: Reg::S0,
+        };
+        c.place(12, mult, 1, 3).unwrap();
+        c.place(16, Instruction::Mflo { rd: Reg::T2 }, 1, 4)
+            .unwrap();
+        let interface = (
+            c.live_ins().collect::<Vec<_>>(),
+            c.writebacks().collect::<Vec<_>>(),
+        );
+        assert_eq!(interface.0, [gpr(Reg::T0), gpr(Reg::S0)]);
+        let written = [(Reg::T0, 0), (Reg::T1, 0), (Reg::T2, 1)].map(|(r, d)| (gpr(r), d));
+        assert_eq!(interface.1[..3], written);
+        assert_eq!(interface.1[3..], [(DataLoc::Hi, 1), (DataLoc::Lo, 1)]);
+
+        // A failed placement derives nothing.
+        let placed = c.clone();
+        let div = Instruction::MulDiv {
+            op: MulDivOp::Div,
+            rs: Reg::A0,
+            rt: Reg::A1,
+        };
+        assert_eq!(c.place(20, div, 1, 0), Err(PlaceError::Unsupported));
+        let rows = c.shape().rows;
+        let late = alu(Reg::A2, Reg::A3, Reg::A3);
+        assert_eq!(c.place(20, late, 1, rows), Err(PlaceError::Full));
+        assert_eq!(c, placed);
     }
 
     #[test]
@@ -784,9 +763,9 @@ mod tests {
             DataLoc::Gpr(Reg::ZERO),
         ];
         for (depth, loc) in [u8::MAX, 7, 0, 1].into_iter().zip(noted) {
-            c.note_live_in(loc);
-            c.note_live_in(loc);
-            c.note_writeback(loc, depth);
+            c.force_live_in(loc);
+            c.force_live_in(loc);
+            c.force_writeback(loc, depth);
         }
         let mut sorted = noted.to_vec();
         sorted.sort();

@@ -439,8 +439,6 @@ mod tests {
                 0,
             )
             .unwrap();
-        config.note_writeback(DataLoc::Gpr(Reg::T0), 0);
-        config.note_writeback(DataLoc::Gpr(Reg::A0), 0);
         config.finish_segment(0, None, 0x108);
 
         let mut c = ctx();
@@ -483,7 +481,6 @@ mod tests {
                 0,
             )
             .unwrap();
-        config.note_writeback(DataLoc::Gpr(Reg::T1), 0);
         config.finish_segment(0, None, 0x208);
 
         let mut c = ctx();
@@ -569,8 +566,6 @@ mod tests {
                 2,
             )
             .unwrap();
-        config.note_writeback(DataLoc::Gpr(Reg::T0), 0);
-        config.note_writeback(DataLoc::Gpr(Reg::S0), 1);
         config.finish_segment(1, None, 0x350);
 
         let mut c = ctx();

@@ -375,7 +375,7 @@ fn ratio(num: u64, den: u64) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::shape::ArrayShape;
-    use dim_mips::{AluOp, DataLoc, Instruction, Reg};
+    use dim_mips::{AluOp, Instruction, Reg};
 
     fn alu_inst() -> Instruction {
         Instruction::Alu {
@@ -400,8 +400,7 @@ mod tests {
     fn record_matches_exec_cycles_and_caps_busy() {
         let timing = ArrayTiming::default();
         let shape = ArrayShape::config1();
-        let mut c = sample_config(shape);
-        c.note_writeback(DataLoc::Gpr(Reg::T0), 0);
+        let c = sample_config(shape);
         let mut heat = FabricHeat::new();
         let sample = heat.record(&c, &timing, 0, 0);
         assert_eq!(sample.exec_cycles, c.exec_cycles(&timing, 0));

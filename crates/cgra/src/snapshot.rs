@@ -6,11 +6,12 @@
 //! placements — and decoding replays that recipe through the normal
 //! [`Configuration::place`]/[`Configuration::finish_segment`] builders.
 //! Because placement is deterministic for a fixed insertion order, the
-//! decoded configuration is structurally identical to the encoded one
-//! (the decoder verifies every replayed row and runs
-//! [`Configuration::validate`] as a final gate), so a corrupt or
-//! hand-edited snapshot can never smuggle an inconsistent placement into
-//! the array.
+//! decoded configuration is structurally identical to the encoded one:
+//! the decoder checks every replayed row, and placement derives the
+//! live-ins and write-backs, which must equal the stored lists. Whether
+//! the rebuilt configuration can run (segment structure, dependence
+//! order, unit bounds) is the verifier's question
+//! ([`crate::verify::verify_config`]), which every loader asks next.
 //!
 //! Instructions travel as their 32-bit MIPS machine encodings
 //! (`dim_mips::code::encode`/`decode`), which the `golden_encodings`
@@ -202,7 +203,8 @@ fn checked_count(c: &Cursor<'_>, n: u32, min_bytes_each: usize) -> Result<usize,
 ///
 /// [`WireError`] when the payload is truncated, an instruction word does
 /// not decode, the replayed placement diverges from the recorded rows,
-/// or the rebuilt configuration fails [`Configuration::validate`].
+/// or the stored live-ins or write-backs are not the ones placement
+/// derives (the encoder writes both in dense-index order).
 pub fn decode_config(c: &mut Cursor<'_>) -> Result<Configuration, WireError> {
     let entry_pc = c.u32()?;
     let shape = read_shape(c)?;
@@ -210,17 +212,14 @@ pub fn decode_config(c: &mut Cursor<'_>) -> Result<Configuration, WireError> {
 
     let n_live_raw = c.u32()?;
     let n_live = checked_count(c, n_live_raw, 1)?;
-    for _ in 0..n_live {
-        let loc = read_loc(c)?;
-        config.note_live_in(loc);
-    }
+    let live_ins = (0..n_live)
+        .map(|_| read_loc(c))
+        .collect::<Result<Vec<_>, _>>()?;
     let n_wb_raw = c.u32()?;
     let n_wb = checked_count(c, n_wb_raw, 2)?;
-    for _ in 0..n_wb {
-        let loc = read_loc(c)?;
-        let depth = c.u8()?;
-        config.note_writeback(loc, depth);
-    }
+    let writebacks = (0..n_wb)
+        .map(|_| Ok((read_loc(c)?, c.u8()?)))
+        .collect::<Result<Vec<_>, WireError>>()?;
     let n_segments_raw = c.u32()?;
     let n_segments = checked_count(c, n_segments_raw, 6)?;
     for _ in 0..n_segments {
@@ -276,9 +275,17 @@ pub fn decode_config(c: &mut Cursor<'_>) -> Result<Configuration, WireError> {
         }
         config.finish_segment(depth, branch, exit_pc);
     }
-    config
-        .validate()
-        .map_err(|e| WireError::Corrupt(format!("rebuilt configuration invalid: {e}")))?;
+    let differs = |what: &str| {
+        WireError::Corrupt(format!(
+            "configuration at {entry_pc:#x}: stored {what} differ from the ones its ops derive"
+        ))
+    };
+    if !live_ins.into_iter().eq(config.live_ins()) {
+        return Err(differs("live-ins"));
+    }
+    if !writebacks.into_iter().eq(config.writebacks()) {
+        return Err(differs("write-backs"));
+    }
     Ok(config)
 }
 
@@ -306,10 +313,6 @@ mod tests {
             offset: -3,
         };
         c.place(0x40_0008, branch, 0, 2).unwrap();
-        c.note_live_in(DataLoc::Gpr(Reg::A0));
-        c.note_live_in(DataLoc::Gpr(Reg::A1));
-        c.note_writeback(DataLoc::Gpr(Reg::T0), 0);
-        c.note_writeback(DataLoc::Gpr(Reg::T1), 0);
         c.finish_segment(
             0,
             Some(SegmentBranch {
@@ -323,24 +326,54 @@ mod tests {
         );
         c.place(0x40_0000, alu(Reg::T2, Reg::T1, Reg::A0), 1, 3)
             .unwrap();
-        c.note_writeback(DataLoc::Gpr(Reg::T2), 1);
         c.finish_segment(1, None, 0x40_0004);
         c
     }
 
     #[test]
     fn config_roundtrips() {
-        // Decoding passes the stored depths to `note_writeback`
-        // unchecked, so every `u8` depth must survive.
-        let mut deepest = sample_config();
-        deepest.note_writeback(DataLoc::Hi, u8::MAX);
-        for config in [sample_config(), deepest] {
-            let mut bytes = Vec::new();
-            encode_config(&config, &mut bytes);
-            let mut cursor = Cursor::new(&bytes);
-            let back = decode_config(&mut cursor).unwrap();
-            assert_eq!(cursor.remaining(), 0);
-            assert_eq!(back, config);
+        let config = sample_config();
+        let mut bytes = Vec::new();
+        encode_config(&config, &mut bytes);
+        let mut cursor = Cursor::new(&bytes);
+        let back = decode_config(&mut cursor).unwrap();
+        assert_eq!(cursor.remaining(), 0);
+        assert_eq!(back, config);
+    }
+
+    /// The stored live-ins and write-backs must be the ones placement
+    /// derives, in dense-index order.
+    #[test]
+    fn a_stored_interface_that_placement_does_not_derive_is_corrupt() {
+        let mut extra_live_in = sample_config();
+        extra_live_in.force_live_in(DataLoc::Gpr(Reg::S0));
+        let mut missing_writeback = sample_config();
+        missing_writeback.remove_writeback(DataLoc::Gpr(Reg::T1));
+        let mut unwritten = sample_config();
+        unwritten.force_writeback(DataLoc::Hi, u8::MAX);
+        let mut deeper = sample_config();
+        deeper.force_writeback(DataLoc::Gpr(Reg::T0), 1);
+        let mut cases: Vec<Vec<u8>> = [extra_live_in, missing_writeback, unwritten, deeper]
+            .iter()
+            .map(|config| {
+                let mut bytes = Vec::new();
+                encode_config(config, &mut bytes);
+                bytes
+            })
+            .collect();
+        // The live-ins A0 and A1 (after the entry PC, the shape and the
+        // count) stored in the other order.
+        let mut swapped = Vec::new();
+        encode_config(&sample_config(), &mut swapped);
+        swapped.swap(56, 57);
+        cases.push(swapped);
+        for bytes in cases {
+            match decode_config(&mut Cursor::new(&bytes)) {
+                Err(WireError::Corrupt(what)) => {
+                    assert!(what.contains("configuration at 0x400000"), "{what}");
+                }
+                other => panic!("a doctored interface decoded to {other:?}"),
+            }
         }
     }
 

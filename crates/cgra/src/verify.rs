@@ -1,12 +1,15 @@
 //! Standalone configuration verifier: proves a [`Configuration`] is
 //! executable on its array shape without running it.
 //!
-//! [`Configuration::validate`] is the quick structural gate the decoder
-//! runs on every wire entry; this module is the deep semantic pass behind
-//! `dim verify` and the debug-mode translation-commit hook. Everything is
-//! re-derived from the placed ops — the shape, the segment table, the
-//! declared live-in set and the declared write-back map are all checked
-//! *against* the instruction window instead of being trusted.
+//! Every loader of a `.dimrc` snapshot runs this pass after the decoder
+//! has rebuilt each configuration, and so does the translation-commit
+//! hook `SystemConfig::verify_configs`. Everything is re-derived from the
+//! placed ops — the shape, the segment table, the declared live-in set
+//! and the declared write-back map are all checked *against* the
+//! instruction window instead of being trusted. [`Configuration::place`]
+//! derives the live-ins and write-backs as it places each op, so the
+//! interface pass is an independent second derivation that cross-checks
+//! it.
 
 use crate::{ArrayShape, Configuration, PlacedOp, Segment};
 use dim_mips::{DataLoc, FuClass};
@@ -510,13 +513,8 @@ mod tests {
         let mut c = Configuration::new(0x1000, ArrayShape::config2());
         c.place(0x1000, alu(Reg::T0, Reg::A0, Reg::A1), 0, 0)
             .unwrap();
-        c.note_live_in(DataLoc::Gpr(Reg::A0));
-        c.note_live_in(DataLoc::Gpr(Reg::A1));
-        c.note_writeback(DataLoc::Gpr(Reg::T0), 0);
         c.place(0x1004, alu(Reg::T1, Reg::T0, Reg::A2), 0, 1)
             .unwrap();
-        c.note_live_in(DataLoc::Gpr(Reg::A2));
-        c.note_writeback(DataLoc::Gpr(Reg::T1), 0);
         let branch = Instruction::Branch {
             cond: BranchCond::Ne,
             rs: Reg::T1,
@@ -538,8 +536,6 @@ mod tests {
         );
         c.place(taken_pc, alu(Reg::T2, Reg::T1, Reg::A3), 1, 3)
             .unwrap();
-        c.note_live_in(DataLoc::Gpr(Reg::A3));
-        c.note_writeback(DataLoc::Gpr(Reg::T2), 1);
         c.finish_segment(1, None, taken_pc + 4);
         c
     }

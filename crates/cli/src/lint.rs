@@ -353,30 +353,56 @@ mod tests {
         let js = run_cli(&["verify", snap, "--json"]).unwrap();
         assert!(js.contains("\"ok\":true"), "{js}");
 
-        // Doctor the snapshot: drop a writeback from the first
-        // configuration and re-encode (valid checksum, invalid contents).
         let bytes = std::fs::read(snap).unwrap();
+        let doctored = std::env::temp_dir().join("dim-cli-tests/t23-doctored.dimrc");
+        let doctored = doctored.to_str().unwrap();
+        let load = || run_cli(&["accel", path, "--config", "2", "--rcache-load", doctored]);
+
+        // Drop a write-back from the first configuration and re-encode
+        // (valid checksum): decoding derives the write-backs from its
+        // ops, so neither command gets past parsing the snapshot.
         let mut contents = dim_core::SnapshotContents::parse(&bytes).unwrap();
+        let named = format!("configuration at {:#x}", contents.configs[0].entry_pc);
         let loc = contents.configs[0].writebacks().next().unwrap().0;
         contents.configs[0].remove_writeback(loc);
-        let doctored = std::env::temp_dir().join("dim-cli-tests/t23-doctored.dimrc");
-        std::fs::write(&doctored, contents.encode()).unwrap();
+        std::fs::write(doctored, contents.encode()).unwrap();
+        for err in [run_cli(&["verify", doctored]), load()] {
+            let err = err.unwrap_err().to_string();
+            assert!(err.contains(&named), "{err}");
+        }
 
-        let err = run_cli(&["verify", doctored.to_str().unwrap()]).unwrap_err();
+        // Retarget the exit of a configuration's last, branchless
+        // segment: it parses, `dim verify` reports the violation, and
+        // the accelerator refuses to warm-start, naming the region.
+        let mut contents = dim_core::SnapshotContents::parse(&bytes).unwrap();
+        let index = contents
+            .configs
+            .iter()
+            .position(|c| c.segments().last().is_some_and(|s| s.branch.is_none()))
+            .expect("a region that ends without a branch");
+        let victim = &contents.configs[index];
+        let mut retargeted = dim_cgra::Configuration::new(victim.entry_pc, *victim.shape());
+        let last = victim.segments().len() - 1;
+        for (k, segment) in victim.segments().iter().enumerate() {
+            for op in victim.segment_ops(segment) {
+                retargeted
+                    .place(op.pc, op.inst, op.depth, op.row as usize)
+                    .unwrap();
+            }
+            let moved = if k == last { 8 } else { 0 };
+            retargeted.finish_segment(segment.depth, segment.branch, segment.exit_pc + moved);
+        }
+        let region = format!(
+            "region at {:#x} ({} instructions) failed verification",
+            victim.entry_pc,
+            victim.instruction_count()
+        );
+        contents.configs[index] = retargeted;
+        std::fs::write(doctored, contents.encode()).unwrap();
+        let err = run_cli(&["verify", doctored]).unwrap_err();
         assert!(err.to_string().contains("violation"), "{err}");
-
-        // The accelerator must refuse to warm-start from it, naming the
-        // failing region.
-        let err = run_cli(&[
-            "accel",
-            path,
-            "--config",
-            "2",
-            "--rcache-load",
-            doctored.to_str().unwrap(),
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("failed verification"), "{err}");
+        let err = load().unwrap_err().to_string();
+        assert!(err.contains(&region), "{err}");
     }
 
     #[test]

@@ -60,5 +60,5 @@ pub use snapshot::{
 };
 pub use stats::{CycleBreakdown, DimStats};
 pub use system::{System, SystemConfig};
-pub use tables::{live_in_sources, DependenceTable};
+pub use tables::DependenceTable;
 pub use translator::{Translator, TranslatorOptions};

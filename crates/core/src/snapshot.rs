@@ -367,7 +367,14 @@ impl SnapshotContents {
         Ok(())
     }
 
-    fn check_compatible(&self, config: &SystemConfig) -> Result<(), SnapshotError> {
+    /// Checks that the snapshot was taken under `config`'s array shape,
+    /// cache geometry and speculation policy.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Incompatible`] naming the first field that
+    /// differs.
+    pub fn check_compatible(&self, config: &SystemConfig) -> Result<(), SnapshotError> {
         check_eq("array shape", self.shape, config.shape)?;
         check_eq("cache slots", self.cache_slots, config.cache_slots as u64)?;
         check_eq("replacement policy", self.cache_policy, config.cache_policy)?;
@@ -621,39 +628,68 @@ mod tests {
 
     /// A snapshot whose bytes are structurally perfect (valid magic,
     /// checksum, wire layout) but whose payload describes a region the
-    /// translator could never have committed must be rejected by the
-    /// verifier pass with the failing region's PC and length.
+    /// translator could never have committed is rejected, and the warm
+    /// state stays as it was.
     #[test]
     fn load_rejects_doctored_but_checksum_valid_snapshot() {
         let mut sys = warmed_system();
         let bytes = sys.save_rcache();
-        let mut contents = SnapshotContents::parse(&bytes).unwrap();
-        assert!(!contents.configs.is_empty());
-        // Drop one write-back from the first region: the wire stays
-        // self-consistent (decode replays placements fine), but the
-        // write-back map no longer matches the instruction window.
-        let victim = &mut contents.configs[0];
-        let expected_pc = victim.entry_pc;
-        let expected_len = victim.instruction_count() as u32;
-        let (loc, _) = victim.writebacks().next().expect("region writes something");
-        victim.remove_writeback(loc);
-        let doctored = contents.encode();
-        assert_ne!(doctored, bytes);
-
         let program = assemble(LOOP).unwrap();
         let mut fresh = System::new(
             Machine::load(&program),
             SystemConfig::new(ArrayShape::config1(), 64, true),
         );
+
+        // Drop one write-back from the first region: decoding derives
+        // the write-backs from the region's ops and rejects the stored
+        // list, naming the region.
+        let mut contents = SnapshotContents::parse(&bytes).unwrap();
+        let victim = &mut contents.configs[0];
+        let named = format!("configuration at {:#x}", victim.entry_pc);
+        let (loc, _) = victim.writebacks().next().expect("region writes something");
+        victim.remove_writeback(loc);
+        let dropped = contents.encode();
+        assert_ne!(dropped, bytes);
+        match fresh.load_rcache(&dropped).unwrap_err() {
+            SnapshotError::Wire(WireError::Corrupt(what)) => {
+                assert!(what.contains(&named), "{what}");
+            }
+            other => panic!("expected a corrupt payload, got {other:?}"),
+        }
+        assert!(fresh.cache().is_empty());
+
+        // Retarget the exit of a region's last, branchless segment: the
+        // bytes still decode, and the verifier names the region's PC
+        // and length.
+        let mut contents = SnapshotContents::parse(&bytes).unwrap();
+        let index = contents
+            .configs
+            .iter()
+            .position(|c| c.segments().last().is_some_and(|s| s.branch.is_none()))
+            .expect("a region that ends without a branch");
+        let victim = &contents.configs[index];
+        let expected = (victim.entry_pc, victim.instruction_count() as u32);
+        let mut retargeted = Configuration::new(victim.entry_pc, *victim.shape());
+        let last = victim.segments().len() - 1;
+        for (k, segment) in victim.segments().iter().enumerate() {
+            for op in victim.segment_ops(segment) {
+                retargeted
+                    .place(op.pc, op.inst, op.depth, op.row as usize)
+                    .unwrap();
+            }
+            let moved = if k == last { 8 } else { 0 };
+            retargeted.finish_segment(segment.depth, segment.branch, segment.exit_pc + moved);
+        }
+        contents.configs[index] = retargeted;
+        let doctored = contents.encode();
+        assert!(SnapshotContents::parse(&doctored).is_ok());
         match fresh.load_rcache(&doctored).unwrap_err() {
             SnapshotError::InvalidConfig { pc, len, detail } => {
-                assert_eq!(pc, expected_pc);
-                assert_eq!(len, expected_len);
-                assert!(detail.contains("writeback-mismatch"), "{detail}");
+                assert_eq!((pc, len), expected);
+                assert!(detail.contains("segment-structure"), "{detail}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-        // The failed load must not have touched the warm state.
         assert!(fresh.cache().is_empty());
     }
 

@@ -300,8 +300,8 @@ impl System {
 
     /// Exact per-phase cycle attribution of the run so far. The
     /// breakdown's total equals [`total_cycles`](System::total_cycles)
-    /// by construction; `dim perf` cross-checks it against the
-    /// probe-derived profile to catch accounting drift.
+    /// by construction: the pipeline phase is the machine's cycles less
+    /// its cache stalls.
     pub fn cycle_breakdown(&self) -> CycleBreakdown {
         CycleBreakdown {
             pipeline: self.machine.stats.base_cycles(),

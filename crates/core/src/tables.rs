@@ -41,12 +41,6 @@ impl DependenceTable {
         }
     }
 
-    /// Whether `loc` has a producer inside the candidate configuration
-    /// (if not, its value is a live-in fetched from the register file).
-    pub fn is_produced(&self, loc: DataLoc) -> bool {
-        self.producer_row[loc.dense_index()].is_some()
-    }
-
     /// The earliest row `inst` may be allocated to, given RAW
     /// dependences on its register sources and memory ordering.
     pub fn min_row(&self, inst: &Instruction) -> u32 {
@@ -76,17 +70,6 @@ impl DependenceTable {
             self.last_mem_row = Some(self.last_mem_row.map_or(row, |m| m.max(row)));
         }
     }
-}
-
-/// Iterates the sources of `inst` that are live-ins w.r.t. `table`,
-/// without allocating.
-pub fn live_in_sources<'a>(
-    table: &'a DependenceTable,
-    inst: &Instruction,
-) -> impl Iterator<Item = DataLoc> + 'a {
-    inst.reads()
-        .into_iter()
-        .filter(move |&l| !table.is_produced(l))
 }
 
 #[cfg(test)]
@@ -164,15 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn live_in_detection() {
-        let mut t = DependenceTable::new();
-        t.record(&add(Reg::T0, Reg::A0, Reg::A1), 0);
-        let i = add(Reg::T1, Reg::T0, Reg::S0);
-        let live: Vec<_> = live_in_sources(&t, &i).collect();
-        assert_eq!(live, vec![DataLoc::Gpr(Reg::S0)]);
-    }
-
-    #[test]
     fn hi_lo_tracked_like_registers() {
         let mut t = DependenceTable::new();
         let mult = Instruction::MulDiv {
@@ -183,7 +157,6 @@ mod tests {
         t.record(&mult, 2);
         let mflo = Instruction::Mflo { rd: Reg::T0 };
         assert_eq!(t.min_row(&mflo), 3);
-        assert!(t.is_produced(DataLoc::Lo));
-        assert!(t.is_produced(DataLoc::Hi));
+        assert_eq!(t.min_row(&Instruction::Mfhi { rd: Reg::T1 }), 3);
     }
 }

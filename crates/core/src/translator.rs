@@ -25,7 +25,7 @@
 use crate::pctable::PcTable;
 use crate::predictor::BimodalPredictor;
 use crate::rcache::ReplayRecord;
-use crate::tables::{live_in_sources, DependenceTable};
+use crate::tables::DependenceTable;
 use dim_cgra::{ArrayShape, Configuration, PlaceError, SegmentBranch};
 use dim_mips::{FuClass, Instruction};
 use dim_mips_sim::{Effect, StepInfo};
@@ -202,9 +202,6 @@ impl Candidate {
                 {
                     return false;
                 }
-                for src in live_in_sources(&self.table, &inst) {
-                    self.config.note_live_in(src);
-                }
                 let branch = SegmentBranch {
                     pc: step.pc,
                     inst,
@@ -221,13 +218,7 @@ impl Candidate {
                 let min_row = self.table.min_row(&inst) as usize;
                 match self.config.place(step.pc, inst, self.depth, min_row) {
                     Ok((row, _col)) => {
-                        for src in live_in_sources(&self.table, &inst) {
-                            self.config.note_live_in(src);
-                        }
                         self.table.record(&inst, row);
-                        for dst in inst.writes().iter() {
-                            self.config.note_writeback(dst, self.depth);
-                        }
                         true
                     }
                     Err(PlaceError::Full) | Err(PlaceError::Unsupported) => false,
@@ -823,7 +814,7 @@ mod tests {
             );
         }
         let cfg = t.take_partial(target + 12).unwrap();
-        cfg.validate().expect("structurally sound");
+        assert_eq!(dim_cgra::verify::verify_config(&cfg), []);
     }
 
     /// Feeds five dependent adds from 0x100 after a boundary, the

@@ -214,9 +214,7 @@ fn check_placement_execution(seeds: &[u32], insts: &[Instruction]) {
         return;
     };
     prop_assert_eq!(config.instruction_count(), insts.len());
-    config
-        .validate()
-        .expect("translator output is structurally sound");
+    prop_assert_eq!(dim_cgra::verify::verify_config(&config), vec![]);
 
     // Shared random entry state.
     let mut ctx = EntryContext {

@@ -50,12 +50,6 @@ fn with_last_exit(config: &Configuration, exit_pc: u32) -> Configuration {
         };
         copy.finish_segment(segment.depth, segment.branch, exit);
     }
-    for loc in config.live_ins() {
-        copy.note_live_in(loc);
-    }
-    for (loc, depth) in config.writebacks() {
-        copy.note_writeback(loc, depth);
-    }
     copy
 }
 

@@ -13,7 +13,7 @@
 
 use crate::walk::{decode_text, TextWalker};
 use dim_cgra::{Configuration, SegmentBranch};
-use dim_core::{live_in_sources, DependenceTable, TranslatorOptions};
+use dim_core::{DependenceTable, TranslatorOptions};
 use dim_mips::asm::Program;
 use dim_mips::{FuClass, Instruction};
 use std::collections::BTreeMap;
@@ -80,9 +80,6 @@ pub fn candidate_paths(program: &Program, opts: &TranslatorOptions, entry: u32) 
                     paths.push(state.ops);
                     break;
                 }
-                for src in live_in_sources(&state.table, &inst) {
-                    state.config.note_live_in(src);
-                }
                 state.ops.push(state.pc);
                 let taken_pc = inst.branch_target(state.pc).expect("branch has a target");
                 let fall_pc = state.pc.wrapping_add(4);
@@ -108,19 +105,13 @@ pub fn candidate_paths(program: &Program, opts: &TranslatorOptions, entry: u32) 
                 }
                 break;
             }
-            // Plain operation: place, note interface, advance.
+            // Plain operation: place, record its row, advance.
             let min_row = state.table.min_row(&inst) as usize;
             let Ok((row, _col)) = state.config.place(state.pc, inst, state.depth, min_row) else {
                 paths.push(state.ops);
                 break;
             };
-            for src in live_in_sources(&state.table, &inst) {
-                state.config.note_live_in(src);
-            }
             state.table.record(&inst, row);
-            for dst in inst.writes().iter() {
-                state.config.note_writeback(dst, state.depth);
-            }
             state.ops.push(state.pc);
             state.pc = state.pc.wrapping_add(4);
         }

@@ -28,8 +28,8 @@
 //!   last N events with per-kind drop accounting, dumpable as a valid
 //!   schema-v3 trace at any moment;
 //! * [`Watchdog`] — an online invariant checker (cycle conservation,
-//!   rcache occupancy, hit-without-insert, monotonic cycle counter)
-//!   that latches a precise [`Violation`]; [`FlightGuard`] pairs the
+//!   rcache occupancy, hit-without-insert) that latches a precise
+//!   [`Violation`]; [`FlightGuard`] pairs the
 //!   two so the first trip snapshots the black box automatically;
 //! * [`status`] — the atomically-replaced, checksummed live status file
 //!   (`status.dimstat`) that `dim top` tails.

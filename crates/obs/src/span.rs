@@ -128,13 +128,6 @@ impl SpanSheet {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The sheet's clock reading, for callers that need latency math
-    /// consistent with recorded spans.
-    #[must_use]
-    pub fn now_nanos(&self) -> u64 {
-        self.clock.now_nanos()
-    }
-
     /// Opens a root span carrying a tenant label and sequence number.
     /// Returns [`SpanId::NONE`] (and counts a drop) when full.
     pub fn begin_root(&self, stage: &'static str, tenant: &str, seq: u64) -> SpanId {
@@ -195,18 +188,6 @@ impl SpanSheet {
             sheet: self,
             id: self.begin(stage, parent),
         }
-    }
-
-    /// Number of spans recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock().spans.len()
-    }
-
-    /// Whether no spans have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Spans refused because the sheet was full.

@@ -2,22 +2,17 @@
 //!
 //! A [`Watchdog`] is a [`Probe`] that evaluates a small set of system
 //! invariants *incrementally*, event by event, instead of waiting for a
-//! post-hoc trace replay — the live counterpart of the offline cycle
-//! conservation law `dim explain` checks. The first violation is
-//! latched as a [`Violation`] naming the invariant, the offending
-//! event, and its position in the stream; everything after the trip is
-//! ignored so the report stays precise.
+//! post-hoc trace replay. The first violation is latched as a
+//! [`Violation`] naming the invariant, the offending event, and its
+//! position in the stream; everything after the trip is ignored so the
+//! report stays precise.
 //!
 //! Invariants checked:
 //!
-//! * **`monotonic-cycle-counter`** — the running cycle total never
-//!   wraps; every event's cycle contribution accumulates without
-//!   overflow.
-//! * **`cycle-conservation`** — only `retire` and `array_invoke` carry
-//!   cycles, and the running total always equals the pipeline bucket
-//!   plus the array bucket (the PR-4 conservation law as a live
-//!   assertion). An invocation claiming more executed instructions than
-//!   it covers trips the same invariant.
+//! * **`cycle-conservation`** — an invocation never claims more
+//!   executed instructions than its configuration covers. The event
+//!   stream's cycles are checked against the system's own count after a
+//!   run, by `dim explain`'s conservation law.
 //! * **`rcache-occupancy`** — the resident-configuration set implied by
 //!   insert/evict/flush events never exceeds the cache's slot count,
 //!   and evictions/flushes always name a resident entry (each
@@ -109,12 +104,6 @@ pub struct Watchdog {
     pending_evict: Option<u32>,
     /// Events observed so far.
     seen: u64,
-    /// Running total of simulated cycles across all events.
-    total_cycles: u64,
-    /// Cycles carried by `retire` events.
-    pipeline_cycles: u64,
-    /// Cycles carried by `array_invoke` events.
-    array_cycles: u64,
     violation: Option<Violation>,
 }
 
@@ -127,9 +116,6 @@ impl Watchdog {
             resident: PcSet::default(),
             pending_evict: None,
             seen: 0,
-            total_cycles: 0,
-            pipeline_cycles: 0,
-            array_cycles: 0,
             violation: None,
         }
     }
@@ -156,11 +142,6 @@ impl Watchdog {
         self.resident.len()
     }
 
-    /// Running simulated-cycle total.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
-    }
-
     fn trip(&mut self, invariant: &'static str, detail: String, event: ProbeEvent) {
         if self.violation.is_none() {
             self.violation = Some(Violation {
@@ -173,47 +154,6 @@ impl Watchdog {
     }
 
     fn check(&mut self, event: ProbeEvent) {
-        let cycles = event.cycles();
-        let Some(total) = self.total_cycles.checked_add(cycles) else {
-            self.trip(
-                "monotonic-cycle-counter",
-                format!(
-                    "cycle counter would wrap: {} + {cycles} overflows u64",
-                    self.total_cycles
-                ),
-                event,
-            );
-            return;
-        };
-        self.total_cycles = total;
-        match event {
-            ProbeEvent::Retire { .. } => self.pipeline_cycles += cycles,
-            ProbeEvent::ArrayInvoke(_) => self.array_cycles += cycles,
-            _ if cycles != 0 => {
-                self.trip(
-                    "cycle-conservation",
-                    format!(
-                        "bookkeeping event `{}` carries {cycles} cycles",
-                        event.type_name()
-                    ),
-                    event,
-                );
-                return;
-            }
-            _ => {}
-        }
-        if self.pipeline_cycles + self.array_cycles != self.total_cycles {
-            self.trip(
-                "cycle-conservation",
-                format!(
-                    "pipeline {} + array {} != total {}",
-                    self.pipeline_cycles, self.array_cycles, self.total_cycles
-                ),
-                event,
-            );
-            return;
-        }
-
         match event {
             ProbeEvent::RcacheHit { pc, .. } if !self.resident.contains(&pc) => {
                 self.trip(
@@ -345,7 +285,6 @@ mod tests {
         dog.emit(ProbeEvent::RcacheFlush { pc: 0x200, len: 4 });
         assert!(!dog.tripped(), "{:?}", dog.violation());
         assert_eq!(dog.resident_len(), 1);
-        assert_eq!(dog.total_cycles(), 3);
     }
 
     #[test]
@@ -414,18 +353,6 @@ mod tests {
             tail_cycles: 0,
         }));
         assert_eq!(dog.violation().unwrap().invariant, "cycle-conservation");
-    }
-
-    #[test]
-    fn cycle_counter_overflow_trips_monotonic() {
-        let mut dog = Watchdog::new(4);
-        dog.total_cycles = u64::MAX - 1;
-        dog.pipeline_cycles = u64::MAX - 1;
-        dog.emit(retire(3));
-        assert_eq!(
-            dog.violation().unwrap().invariant,
-            "monotonic-cycle-counter"
-        );
     }
 
     #[test]

@@ -97,11 +97,11 @@ pub struct ShardStats {
 /// One shared warm shard. All mutation goes through [`admit`](Shard::admit).
 #[derive(Debug)]
 pub struct Shard {
-    /// The compatibility header every admission must match, held as an
-    /// otherwise-empty snapshot. `contents.configs` is the resident set
-    /// in FIFO admission order.
+    /// The parameters every admission must match.
+    config: SystemConfig,
+    /// `config`'s header as an otherwise-empty snapshot, whose `configs`
+    /// is the resident set in FIFO admission order.
     contents: SnapshotContents,
-    capacity: usize,
     stats: ShardStats,
     /// Cached `contents.encode()`; invalidated by admission.
     encoded: Option<Vec<u8>>,
@@ -115,6 +115,7 @@ impl Shard {
     /// — the parameters every admission and warm start must match.
     pub fn new(id: &str, config: &SystemConfig) -> Shard {
         Shard {
+            config: *config,
             contents: SnapshotContents {
                 shape: config.shape,
                 cache_slots: config.cache_slots as u64,
@@ -127,7 +128,6 @@ impl Shard {
                 strikes: Vec::new(),
                 configs: Vec::new(),
             },
-            capacity: config.cache_slots,
             stats: ShardStats {
                 id: id.to_string(),
                 ..ShardStats::default()
@@ -154,37 +154,6 @@ impl Shard {
         stats
     }
 
-    fn check_header(&self, incoming: &SnapshotContents) -> Result<(), ShardError> {
-        let h = &self.contents;
-        let mismatch = |field: &str| {
-            Err(ShardError::Incompatible(format!(
-                "{field} differs from the shard's"
-            )))
-        };
-        if incoming.shape != h.shape {
-            return mismatch("array shape");
-        }
-        if incoming.cache_slots != h.cache_slots {
-            return mismatch("cache slots");
-        }
-        if incoming.cache_policy != h.cache_policy {
-            return mismatch("replacement policy");
-        }
-        if incoming.speculation != h.speculation {
-            return mismatch("speculation");
-        }
-        if incoming.max_spec_blocks != h.max_spec_blocks {
-            return mismatch("max_spec_blocks");
-        }
-        if incoming.support_shifts != h.support_shifts {
-            return mismatch("support_shifts");
-        }
-        if incoming.misspec_flush_threshold != h.misspec_flush_threshold {
-            return mismatch("misspec_flush_threshold");
-        }
-        Ok(())
-    }
-
     /// Offers a `.dimrc` snapshot image for admission. Parses, verifies
     /// (the trust boundary), checks the compatibility header, then
     /// merges: new entry PCs append in order, resident PCs win over
@@ -203,9 +172,9 @@ impl Shard {
                 return Err(e.into());
             }
         };
-        if let Err(e) = self.check_header(&incoming) {
+        if let Err(e) = incoming.check_compatible(&self.config) {
             self.stats.rejected += 1;
-            return Err(e);
+            return Err(ShardError::Incompatible(e.to_string()));
         }
         if let Some(log) = &mut self.log {
             log.push(bytes.to_vec());
@@ -224,7 +193,7 @@ impl Shard {
                 outcome.admitted += 1;
             }
         }
-        while self.contents.configs.len() > self.capacity {
+        while self.contents.configs.len() > self.config.cache_slots {
             self.contents.configs.remove(0);
             outcome.evicted += 1;
         }
@@ -375,6 +344,8 @@ impl ShardManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dim_cgra::snapshot::WireError;
+    use dim_cgra::Configuration;
     use dim_core::System;
     use dim_mips::asm::assemble;
     use dim_mips_sim::Machine;
@@ -444,25 +415,58 @@ mod tests {
     }
 
     /// The poisoned-entry drill: a snapshot with a valid checksum whose
-    /// payload fails the static verifier must be rejected at admission,
-    /// leaving the shard byte-identical.
+    /// payload describes a region the translator could never have
+    /// committed must be rejected at admission, leaving the shard
+    /// byte-identical.
     #[test]
     fn poisoned_snapshot_is_rejected_at_the_trust_boundary() {
         let mut shard = Shard::new("t", &shard_config());
         shard.admit(&warmed_snapshot(0)).unwrap();
         let before = shard.export();
+        let offered = warmed_snapshot(1);
 
-        let mut contents = SnapshotContents::parse(&warmed_snapshot(1)).unwrap();
+        // A dropped write-back: decoding derives the write-backs from
+        // the region's ops, so the stored list no longer parses.
+        let mut contents = SnapshotContents::parse(&offered).unwrap();
         let victim = &mut contents.configs[0];
         let (loc, _) = victim.writebacks().next().expect("region writes something");
         victim.remove_writeback(loc);
-        let poisoned = contents.encode();
-        // The poison is structurally perfect: it still parses.
-        assert!(SnapshotContents::parse(&poisoned).is_ok());
+        match shard.admit(&contents.encode()).unwrap_err() {
+            ShardError::Snapshot(SnapshotError::Wire(WireError::Corrupt(what))) => {
+                assert!(what.contains("write-backs"), "{what}");
+            }
+            other => panic!("expected a corrupt payload, got {other:?}"),
+        }
+        assert_eq!(shard.stats().rejected, 1);
 
+        // A retargeted exit of a region's last, branchless segment is
+        // structurally perfect: it parses, and the verifier rejects it.
+        let mut contents = SnapshotContents::parse(&offered).unwrap();
+        let index = contents
+            .configs
+            .iter()
+            .position(|c| c.segments().last().is_some_and(|s| s.branch.is_none()))
+            .expect("a region that ends without a branch");
+        let victim = &contents.configs[index];
+        let mut retargeted = Configuration::new(victim.entry_pc, *victim.shape());
+        let last = victim.segments().len() - 1;
+        for (k, segment) in victim.segments().iter().enumerate() {
+            for op in victim.segment_ops(segment) {
+                retargeted
+                    .place(op.pc, op.inst, op.depth, op.row as usize)
+                    .unwrap();
+            }
+            let moved = if k == last { 8 } else { 0 };
+            retargeted.finish_segment(segment.depth, segment.branch, segment.exit_pc + moved);
+        }
+        let expected = (victim.entry_pc, victim.instruction_count() as u32);
+        contents.configs[index] = retargeted;
+        let poisoned = contents.encode();
+        assert!(SnapshotContents::parse(&poisoned).is_ok());
         match shard.admit(&poisoned).unwrap_err() {
-            ShardError::Snapshot(SnapshotError::InvalidConfig { detail, .. }) => {
-                assert!(detail.contains("writeback-mismatch"), "{detail}");
+            ShardError::Snapshot(SnapshotError::InvalidConfig { pc, len, detail }) => {
+                assert_eq!((pc, len), expected);
+                assert!(detail.contains("segment-structure"), "{detail}");
             }
             other => panic!("expected InvalidConfig at the trust boundary, got {other:?}"),
         }
@@ -471,7 +475,7 @@ mod tests {
             before,
             "rejected admission mutated the shard"
         );
-        assert_eq!(shard.stats().rejected, 1);
+        assert_eq!(shard.stats().rejected, 2);
 
         // Corrupted-byte and wrong-header admissions die the same way.
         let mut torn = warmed_snapshot(1);
@@ -487,11 +491,12 @@ mod tests {
             SystemConfig::new(dim_cgra::ArrayShape::config1(), SLOTS * 2, true),
         );
         other.run(10_000_000).unwrap();
-        assert!(matches!(
-            shard.admit(&other.save_rcache()).unwrap_err(),
-            ShardError::Incompatible(_)
-        ));
+        match shard.admit(&other.save_rcache()).unwrap_err() {
+            ShardError::Incompatible(what) => assert!(what.contains("cache slots"), "{what}"),
+            other => panic!("expected Incompatible, got {other:?}"),
+        }
         assert_eq!(shard.export(), before);
+        assert_eq!(shard.stats().rejected, 4);
     }
 
     /// The concurrent torture test: N threads hammer one shard through

@@ -237,13 +237,6 @@ fn seed_resident(watchdog: &mut Watchdog, system: &System) {
 pub fn counter_laws(system: &System) -> Result<(), String> {
     let stats = system.stats();
     let broken = |law: &str, detail: String| Err(format!("counter law `{law}` broken: {detail}"));
-    let (breakdown, total) = (system.cycle_breakdown().total(), system.total_cycles());
-    if breakdown != total {
-        return broken(
-            "cycle-breakdown",
-            format!("breakdown total {breakdown} != total cycles {total}"),
-        );
-    }
     let (resident, slots) = (system.cache().len(), system.config().cache_slots);
     if resident > slots {
         return broken(
